@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from edmc.cli import write_grid_csv, _meta
+from edmc.cli import output_meta, write_grid_csv
 from edmc.experiments import ExperimentConfig, grid_rows, run_grid
 from edmc.synthdata import DatasetSpec
 
@@ -39,7 +39,7 @@ def main():
         workers=args.workers,
     )
     rows = grid_rows(run_grid(config), args.threshold)
-    write_grid_csv(args.out, rows, _meta(vars(args), args.seed))
+    write_grid_csv(args.out, rows, output_meta(vars(args), args.seed))
     for row in rows:
         print(f"r={row['r']} rho={row['rho']:.1f}: success {row['success_fraction']:.2f} "
               f"median err {row['median_rel_error']:.2e}")

@@ -21,7 +21,7 @@ from . import __version__
 from .diagnostics import incoherence
 from .experiments import (ExperimentConfig, GRID_CSV_COLUMNS, grid_rows, run_grid)
 from .geometry import (FactoredGram, gram_from_points, procrustes_error,
-                       read_points_csv, write_points_csv)
+                       read_points_csv, truncated_gram, write_points_csv)
 from .sampling import SampledDistances, bernoulli_sample, observe
 from .solver import (Problem, SolverConfig, init_one_step, recover_points, solve)
 from .synthdata import DatasetSpec, generate
@@ -32,7 +32,8 @@ def _config_hash(payload):
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _meta(payload, seed):
+def output_meta(payload, seed):
+    """Provenance block ``{config_hash, seed, version}`` embedded in outputs."""
     return {"config_hash": _config_hash(payload), "seed": seed, "version": __version__}
 
 
@@ -66,7 +67,7 @@ def cmd_generate(args):
     spec = DatasetSpec(kind=args.kind, n=args.n, r=args.r, seed=args.seed,
                        path=args.points_file)
     points = generate(spec)
-    meta = _meta(vars(args), args.seed)
+    meta = output_meta(vars(args), args.seed)
     write_points_csv(args.out, points, meta=meta)
     return 0
 
@@ -89,7 +90,7 @@ def _load_problem(args):
 def cmd_init(args):
     problem = _load_problem(args)
     gram = init_one_step(problem)
-    _save_gram_json(args.out, gram, _meta(vars(args), problem.data.seed))
+    _save_gram_json(args.out, gram, output_meta(vars(args), problem.data.seed))
     return 0
 
 
@@ -106,7 +107,7 @@ def cmd_solve(args):
                           gradient_op=args.gradient_op, truth=truth)
     x0 = _load_gram_json(args.init) if args.init else None
     result = solve(problem, x0=x0, config=config)
-    meta = _meta({k: v for k, v in vars(args).items() if k != "func"},
+    meta = output_meta({k: v for k, v in vars(args).items() if k != "func"},
                  problem.data.seed)
     if args.out_trace:
         result.trace.save_jsonl(args.out_trace)
@@ -139,13 +140,10 @@ def cmd_diagnose(args):
     else:
         points = read_points_csv(args.points)
         points = points - points.mean(axis=0)
-        x = gram_from_points(points)
-        eigvals, eigvecs = np.linalg.eigh(x)
-        order = np.argsort(-np.abs(eigvals), kind="stable")[: args.r]
-        gram = FactoredGram(eigvecs[:, order], eigvals[order])
+        gram = truncated_gram(gram_from_points(points), args.r)
     report = incoherence(gram, cross_terms=not args.no_cross_terms)
     payload = json.loads(report.to_json())
-    payload["_meta"] = _meta({k: v for k, v in vars(args).items() if k != "func"}, None)
+    payload["_meta"] = output_meta({k: v for k, v in vars(args).items() if k != "func"}, None)
     _write_json(args.out, payload)
     print(report.to_json())
     return 0
@@ -184,7 +182,7 @@ def cmd_grid(args):
     config, raw = _experiment_config_from_json(args.config, overrides)
     results = run_grid(config)
     rows = grid_rows(results, config.threshold())
-    write_grid_csv(args.out, rows, _meta(raw, config.seed))
+    write_grid_csv(args.out, rows, output_meta(raw, config.seed))
     return 0
 
 

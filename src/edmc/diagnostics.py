@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dualbasis as db
 from .geometry import FactoredGram
-from .manifold import TangentVector, project_tangent
+from .manifold import TangentVector, project_tangent, project_w_expansion
 from .sampling import PairSet, rng_from_seed
 
 #: multiply the reported nu by this to get the normalization used by the
@@ -154,22 +154,22 @@ def coherence_gram_lambda_max(x: FactoredGram, dense_cutoff=64,
     """Largest eigenvalue of ``[<P_U w_a, P_U w_b>]`` over all pair pairs.
 
     Dense construction below the cutoff; above it, power iteration on the
-    implicit matrix ``(Y Y^T) .* (Q Q^T)`` with Y the row differences of U
-    and Q the signed index patterns, at O(L r) per product.
+    implicit matrix ``(Y Y^T) .* (B B^T)`` with B the incidence matrix of all
+    pairs and ``Y = BU`` the row differences of U, at O(L r) per product.
     """
-    n, U = x.n, x.U
-    ii, jj = np.triu_indices(n, k=1)
-    Y = U[ii] - U[jj]
+    n = x.n
+    B = PairSet.full(n).incidence
+    Y = B @ x.U
     if n <= dense_cutoff:
         inner = Y @ Y.T
-        sign = _pair_overlap_matrix(n, ii, jj)
+        sign = _pair_overlap_matrix(B)
         return float(np.linalg.eigvalsh(inner * sign).max())
     rng = rng_from_seed(seed)
-    v = rng.standard_normal(ii.size)
+    v = rng.standard_normal(B.shape[0])
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(power_iters):
-        hv = _coherence_gram_matvec(v, Y, ii, jj, n)
+        hv = _coherence_gram_matvec(v, Y, B)
         norm = np.linalg.norm(hv)
         if norm == 0.0:
             return 0.0
@@ -181,27 +181,14 @@ def coherence_gram_lambda_max(x: FactoredGram, dense_cutoff=64,
     return lam
 
 
-def _pair_overlap_matrix(n, ii, jj):
-    # (e_i - e_j) . (e_k - e_l) for all pair combinations
-    same_i = ii[:, None] == ii[None, :]
-    same_j = jj[:, None] == jj[None, :]
-    cross_ij = ii[:, None] == jj[None, :]
-    cross_ji = jj[:, None] == ii[None, :]
-    return (
-        same_i.astype(float) + same_j.astype(float)
-        - cross_ij.astype(float) - cross_ji.astype(float)
-    )
+def _pair_overlap_matrix(B):
+    # (e_i - e_j) . (e_k - e_l) for all pair combinations: B B^T
+    return (B @ B.T).toarray().astype(float)
 
 
-def _coherence_gram_matvec(vcoef, Y, ii, jj, n):
-    # (H v)_a = y_a^T Z (e_i - e_j) with Z = sum_b v_b y_b q_b^T
-    r = Y.shape[1]
-    Z = np.zeros((r, n))
-    for k in range(r):
-        col = vcoef * Y[:, k]
-        Z[k] = np.bincount(ii, weights=col, minlength=n) - np.bincount(jj, weights=col, minlength=n)
-    zi = Z[:, ii] - Z[:, jj]          # r x L
-    return np.einsum("ij,ji->i", Y, zi)
+def _coherence_gram_matvec(vcoef, Y, B):
+    # (H v)_a = y_a^T Z^T b_a with Z^T = sum_b v_b b_b y_b^T = B^T (v * Y)
+    return np.einsum("ij,ij->i", Y, B @ (B.T @ (vcoef[:, None] * Y)))
 
 
 @dataclass(frozen=True)
@@ -247,13 +234,8 @@ def rip_estimate(x: FactoredGram, pairs: PairSet, p, seed=0,
     t = canonical(project_tangent(x, start))
 
     def apply_op(tv: TangentVector) -> TangentVector:
-        zc = tv.w_coeffs(pairs)
-        g = db.m_omega_coeffs(zc, pairs, p)
-        gu = db.w_expand_matvec(g, pairs, x.U)
-        m = x.U.T @ gu
-        m = 0.5 * (m + m.T)
-        zu = gu - x.U @ m
-        return canonical(TangentVector(x, m - p**2 * tv.M, zu - p**2 * tv.Zu))
+        image = project_w_expansion(x, db.m_omega_coeffs(tv.w_coeffs(pairs), pairs, p), pairs)
+        return canonical(image.add(tv.scale(-p**2)))
 
     norm = t.norm_fro()
     if norm == 0.0:

@@ -12,6 +12,11 @@ vector ``c[k] = <Y, w_a_k>`` on the sampled pairs, which is the only data
 the completion problem exposes, and has an O(m) fast path plus a dense
 brute-force twin used as a test oracle.
 
+The fast paths share one structure: with B the signed pair-incidence
+matrix of the sample (``PairSet.incidence``, row a equal to ``e_i - e_j``),
+``w_a = b_a b_a^T``, so ``<U diag(l) U^T, w_a>`` is ``((BU) * (BU)) l`` and
+``sum_a g_a w_a = B^T diag(g) B``, whose diagonal is :func:`pair_row_sums`.
+
 Operators (Omega the sampled pair set, m = |Omega|):
 
 * ``f_omega``:   restricted frame operator ``sum_a <.,w_a> w_a``
@@ -26,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import diags_array
 from scipy.sparse.linalg import LinearOperator
 
 from .sampling import PairSet, pair_count
@@ -119,9 +124,16 @@ def w_coeffs(x, pairs: PairSet):
 
 
 def w_coeffs_factored(U, eigs, pairs: PairSet):
-    """``<U diag(eigs) U^T, w_a>`` in O(m r): row differences of U."""
-    dU = U[pairs.ii] - U[pairs.jj]
+    """``<U diag(eigs) U^T, w_a>`` in O(m r): row differences ``BU`` of U."""
+    dU = pairs.incidence @ U
     return (dU * dU) @ eigs
+
+
+def pair_row_sums(c, pairs: PairSet):
+    """Per-point sums ``s_i = sum of c_a over the pairs a containing i``."""
+    c = np.asarray(c, dtype=float)
+    return (np.bincount(pairs.ii, weights=c, minlength=pairs.n)
+            + np.bincount(pairs.jj, weights=c, minlength=pairs.n))
 
 
 # ---------------------------------------------------------------------------
@@ -136,24 +148,19 @@ def w_expand(g, pairs: PairSet):
     Support is the pair pattern plus the diagonal: at most ``4m + n``
     stored entries.
     """
-    n = pairs.n
-    ii, jj = pairs.ii, pairs.jj
-    g = np.asarray(g, dtype=float)
-    rho = np.bincount(ii, weights=g, minlength=n) + np.bincount(jj, weights=g, minlength=n)
-    rows = np.concatenate([ii, jj, np.arange(n)])
-    cols = np.concatenate([jj, ii, np.arange(n)])
-    vals = np.concatenate([-g, -g, rho])
-    return csr_array((vals, (rows, cols)), shape=(n, n))
+    B = pairs.incidence
+    return (B.T @ diags_array(np.asarray(g, dtype=float)) @ B).tocsr()
 
 
 def w_expand_matvec(g, pairs: PairSet, V):
-    """``(sum_b g_b w_b) @ V`` without assembling the sparse matrix."""
+    """``(sum_b g_b w_b) @ V = B^T (g * BV)``, summed as the diagonal times V
+    minus the off-diagonal pattern: trials near the boundary between the
+    truth and a spurious point change outcome with the summation order."""
     n = pairs.n
     ii, jj = pairs.ii, pairs.jj
     g = np.asarray(g, dtype=float)
-    rho = np.bincount(ii, weights=g, minlength=n) + np.bincount(jj, weights=g, minlength=n)
     V = np.asarray(V, dtype=float)
-    out = rho[:, None] * V
+    out = pair_row_sums(g, pairs)[:, None] * V
     for k in range(V.shape[1]):
         out[:, k] -= np.bincount(ii, weights=g * V[jj, k], minlength=n)
         out[:, k] -= np.bincount(jj, weights=g * V[ii, k], minlength=n)
@@ -174,11 +181,9 @@ def _jpj_on_support(coeffs, pairs: PairSet):
     total.
     """
     n = pairs.n
-    ii, jj = pairs.ii, pairs.jj
     c = np.asarray(coeffs, dtype=float)
-    s = np.bincount(ii, weights=c, minlength=n) + np.bincount(jj, weights=c, minlength=n)
-    t = s.sum()
-    return c - (s[ii] + s[jj]) / n + t / n**2
+    s = pair_row_sums(c, pairs)
+    return c - (s[pairs.ii] + s[pairs.jj]) / n + s.sum() / n**2
 
 
 def rstar_r_coeffs(coeffs, pairs: PairSet):
@@ -223,9 +228,8 @@ def r_omega_apply(coeffs, pairs: PairSet):
     n = pairs.n
     ii, jj = pairs.ii, pairs.jj
     c = np.asarray(coeffs, dtype=float)
-    s = np.bincount(ii, weights=c, minlength=n) + np.bincount(jj, weights=c, minlength=n)
-    t = c.sum() * 2.0
-    out = np.full((n, n), t / n**2)
+    s = pair_row_sums(c, pairs)
+    out = np.full((n, n), c.sum() * 2.0 / n**2)
     out -= np.add.outer(s, s) / n
     out[ii, jj] += c
     out[jj, ii] += c
@@ -236,19 +240,17 @@ def r_omega_operator(coeffs, pairs: PairSet):
     """Matrix-free ``-1/2 J P_O(D) J`` with O(m + n) matvecs."""
     n = pairs.n
     ii, jj = pairs.ii, pairs.jj
+    ends = np.concatenate([ii, jj])
     c = np.asarray(coeffs, dtype=float)
-    s = np.bincount(ii, weights=c, minlength=n) + np.bincount(jj, weights=c, minlength=n)
+    s = pair_row_sums(c, pairs)
     t = c.sum() * 2.0
-    ones = np.ones(n)
 
     def matvec(x):
         x = np.asarray(x, dtype=float).ravel()
-        sx = np.zeros(n)
-        np.add.at(sx, ii, c * x[jj])
-        np.add.at(sx, jj, c * x[ii])
+        # x times the off-diagonal pattern sum_a c_a (e_i e_j^T + e_j e_i^T)
+        sx = np.bincount(ends, weights=np.concatenate([c * x[jj], c * x[ii]]), minlength=n)
         xsum = x.sum()
-        jsj = sx - s * (xsum / n) - ones * (s @ x / n) + ones * (t * xsum / n**2)
-        return -0.5 * jsj
+        return -0.5 * (sx - s * (xsum / n) - s @ x / n + t * xsum / n**2)
 
     return LinearOperator((n, n), matvec=matvec, rmatvec=matvec, dtype=float)
 

@@ -4,7 +4,8 @@ iterate and the rank-r hard-thresholding retraction.
 The tangent space at ``X = U diag(eigs) U^T`` is
 ``{U Z^T + Z U^T : Z in R^{n x r}}``; the orthogonal projection of a
 symmetric Y onto it is ``P_U Y + Y P_U - P_U Y P_U`` and is stored in the
-factored form ``U M U^T + Zu U^T + U Zu^T`` with ``Zu^T U = 0``.
+factored form ``U M U^T + Zu U^T + U Zu^T`` with ``Zu^T U = 0``, computed
+from the product ``Y @ U`` alone.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dualbasis as db
 from .geometry import FactoredGram, magnitude_order, select_rank
 from .sampling import PairSet
 
@@ -56,14 +58,21 @@ class TangentVector:
         return U @ self.M @ U.T + self.Zu @ U.T + U @ self.Zu.T
 
     def w_coeffs(self, pairs: PairSet):
-        """``<T, w_a>`` over a pair set in O(m r), without densifying."""
-        U = self.base.U
-        ii, jj = pairs.ii, pairs.jj
-        dU = U[ii] - U[jj]
-        B = U @ self.M
-        out = np.einsum("ij,ij->i", B[ii] - B[jj], dU)
-        out += 2.0 * np.einsum("ij,ij->i", self.Zu[ii] - self.Zu[jj], dU)
-        return out
+        """``<T, w_a> = du M du^T + 2 dz . du`` in O(m r), du and dz the rows
+        of ``BU`` and ``BZu``."""
+        U, r = self.base.U, self.base.r
+        d = pairs.incidence @ np.hstack([U @ self.M, self.Zu, U])
+        dU = d[:, 2 * r:]
+        return (np.einsum("ij,ij->i", d[:, :r], dU)
+                + 2.0 * np.einsum("ij,ij->i", d[:, r:2 * r], dU))
+
+
+def _split(base: FactoredGram, yu) -> TangentVector:
+    # tangent components of a symmetric Y from yu = Y @ U alone
+    U = base.U
+    M = U.T @ yu
+    M = 0.5 * (M + M.T)
+    return TangentVector(base, M, yu - U @ M)
 
 
 def project_tangent(base: FactoredGram, y) -> TangentVector:
@@ -72,13 +81,12 @@ def project_tangent(base: FactoredGram, y) -> TangentVector:
     ``y`` may be dense or scipy-sparse; the cost is one product ``y @ U``
     plus O(n r^2) dense work.
     """
-    U = base.U
-    yu = y @ U
-    yu = np.asarray(yu)
-    M = U.T @ yu
-    M = 0.5 * (M + M.T)
-    Zu = yu - U @ M
-    return TangentVector(base, M, Zu)
+    return _split(base, np.asarray(y @ base.U))
+
+
+def project_w_expansion(base: FactoredGram, g, pairs: PairSet) -> TangentVector:
+    """Tangent projection of ``sum_b g_b w_b`` in O(m r), never assembled."""
+    return _split(base, db.w_expand_matvec(g, pairs, base.U))
 
 
 def hard_threshold(y, r) -> FactoredGram:

@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_array
 
 
 def rng_from_seed(seed):
@@ -27,15 +29,20 @@ def pair_count(n):
 
 @dataclass(frozen=True)
 class PairSet:
-    """Strictly upper-triangular index pairs, sorted lexicographically."""
+    """Strictly upper-triangular index pairs, sorted lexicographically.
+
+    ``ii`` and ``jj`` are read-only copies, so the cached incidence matrix
+    always describes them.
+    """
 
     n: int
     ii: np.ndarray
     jj: np.ndarray
 
     def __post_init__(self):
-        ii = np.asarray(self.ii, dtype=np.int64)
-        jj = np.asarray(self.jj, dtype=np.int64)
+        ii = np.array(self.ii, dtype=np.int64)
+        jj = np.array(self.jj, dtype=np.int64)
+        ii.flags.writeable = jj.flags.writeable = False
         object.__setattr__(self, "ii", ii)
         object.__setattr__(self, "jj", jj)
         if ii.shape != jj.shape or ii.ndim != 1:
@@ -58,6 +65,16 @@ class PairSet:
 
     def __iter__(self):
         return zip(self.ii.tolist(), self.jj.tolist())
+
+    @cached_property
+    def incidence(self):
+        """Signed pair-incidence matrix B (m x n, int8): row a is ``e_i - e_j``,
+        so ``w_a = b_a b_a^T``; ``B.T`` is a view, not a stored transpose."""
+        m = self.m
+        indices = np.stack([self.ii, self.jj], axis=1).ravel().astype(np.int32)
+        data = np.tile(np.array([1, -1], dtype=np.int8), m)
+        indptr = np.arange(0, 2 * m + 1, 2, dtype=np.int32)
+        return csr_array((data, indices, indptr), shape=(m, self.n))
 
     @classmethod
     def full(cls, n):
@@ -99,6 +116,8 @@ class SampledDistances:
         object.__setattr__(self, "values", values)
         if values.shape != self.pairs.ii.shape:
             raise ValueError("one value per pair required")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"non-finite distances at {np.sum(~np.isfinite(values))} pairs")
         if values.size and values.min() < -1e-12:
             raise ValueError("squared distances must be nonnegative")
 

@@ -33,7 +33,8 @@ from scipy.sparse.linalg import eigsh, ArpackNoConvergence
 from . import dualbasis as db
 from .geometry import (FactoredGram, gram_frobenius_error, magnitude_order,
                        truncated_gram)
-from .manifold import TangentVector, RankCollapseError, retract_structured
+from .manifold import (TangentVector, RankCollapseError, project_w_expansion,
+                       retract_structured)
 from .sampling import PairSet, SampledDistances
 
 
@@ -85,7 +86,6 @@ class SolverConfig:
     change_tol: float = 1e-5
     change_tol_mode: str = "relative"
     gradient_op: str = "normal"
-    step_flag_eps: float = 1.0 / 22.0
     divergence_factor: float = 1e3
     truth: object = None  # optional ground-truth Gram (dense or FactoredGram)
 
@@ -176,7 +176,8 @@ def init_one_step(problem: Problem, dense_cutoff=400) -> FactoredGram:
 
 def step_size(tangent_g: TangentVector, pairs: PairSet, p,
               gradient_op="normal", flag_eps=1.0 / 22.0):
-    """Exact step-size quotient for a projected gradient direction.
+    """Exact step-size quotient ``<T, T> / <T, A(T)>`` for a projected
+    gradient direction T, with A the ``gradient_op`` operator.
 
     Returns ``(alpha, flagged)``.  The quotient is scale invariant in the
     tangent vector.  For the de-biased operator the restricted-isometry
@@ -184,10 +185,10 @@ def step_size(tangent_g: TangentVector, pairs: PairSet, p,
     ``flagged`` reports an excursion outside that interval (it stays False
     for the normal operator, whose natural scale differs).
     """
-    zc = tangent_g.w_coeffs(pairs)
     num = tangent_g.norm_fro() ** 2
     if num == 0.0:
         raise DegenerateStepError("zero tangent direction")
+    zc = tangent_g.w_coeffs(pairs)
     g2 = _gradient_coeffs(zc, pairs, p, gradient_op)
     denom = float(g2 @ zc)
     if denom == 0.0:
@@ -234,32 +235,19 @@ def solve(problem: Problem, x0: FactoredGram | None = None,
 
     current = x0
     for it in range(config.max_iters):
-        U, lam = current.U, current.eigs
-        c = d - db.w_coeffs_factored(U, lam, pairs)
+        c = d - db.w_coeffs_factored(current.U, current.eigs, pairs)
         residual_norm = float(np.linalg.norm(c))
-        g = _gradient_coeffs(c, pairs, p, mode)
-        gu = db.w_expand_matvec(g, pairs, U)
-        M = U.T @ gu
-        M = 0.5 * (M + M.T)
-        zu = gu - U @ M
-        tangent = TangentVector(current, M, zu)
-        num = tangent.norm_fro() ** 2
-        if num == 0.0:
+        tangent = project_w_expansion(current, _gradient_coeffs(c, pairs, p, mode), pairs)
+        if tangent.norm_fro() == 0.0:
             # stationary: the sampled residual is invisible to the tangent space
             trace.records.append(IterRecord(it, 0.0, residual_norm, 0.0,
                                             truth_err(current) if truth_err else None))
             trace.status = "converged"
             return SolveResult(current, trace)
-        zc = tangent.w_coeffs(pairs)
-        g2 = _gradient_coeffs(zc, pairs, p, mode)
-        denom = float(g2 @ zc)
-        if denom == 0.0:
-            trace.status = "degenerate"
-            raise DegenerateStepError("step-size quotient has zero denominator")
-        alpha = num / denom
         try:
+            alpha, _ = step_size(tangent, pairs, p, mode)
             new = retract_structured(current, tangent, alpha)
-        except RankCollapseError:
+        except (DegenerateStepError, RankCollapseError):
             trace.status = "degenerate"
             raise
         change = gram_frobenius_error(new, current)

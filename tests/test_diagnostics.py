@@ -148,7 +148,7 @@ class TestCoherenceGram:
         y = fg.U[ii] - fg.U[jj]
         from edmc.diagnostics import _pair_overlap_matrix
 
-        htilde = (y @ y.T) * _pair_overlap_matrix(n, ii, jj)
+        htilde = (y @ y.T) * _pair_overlap_matrix(PairSet(n, ii, jj).incidence)
         lmax = coherence_gram_lambda_max(fg)
         gershgorin = np.abs(htilde).sum(axis=1).max()
         assert lmax <= gershgorin + 1e-9

@@ -155,6 +155,21 @@ class TestROmega:
             x = np.random.default_rng(k).standard_normal(10)
             assert np.abs(op @ x - dense @ x).max() <= 1e-12 * max(1, np.abs(dense).max())
 
+    def test_operator_keeps_scatter_arithmetic(self):
+        # the matvec rounds exactly like the np.add.at scatter the Lanczos
+        # initialization was recorded with
+        y, pairs, coeffs = random_instance(10, seed=9)
+        ii, jj, n = pairs.ii, pairs.jj, 10
+        s = np.bincount(ii, coeffs, n) + np.bincount(jj, coeffs, n)
+        t = coeffs.sum() * 2.0
+        x = np.random.default_rng(10).standard_normal(n)
+        sx = np.zeros(n)
+        np.add.at(sx, ii, coeffs * x[jj])
+        np.add.at(sx, jj, coeffs * x[ii])
+        ref = -0.5 * (sx - s * (x.sum() / n) - np.ones(n) * (s @ x / n)
+                      + np.ones(n) * (t * x.sum() / n**2))
+        assert np.array_equal(db.r_omega_operator(coeffs, pairs) @ x, ref)
+
     def test_idempotent_on_observed_coefficients(self):
         # no repeated indices, so applying the sampler twice changes nothing
         y, pairs, coeffs = random_instance(8, seed=7)
@@ -228,6 +243,14 @@ class TestMOmega:
         out = db.m_omega_apply(coeffs, pairs, p=0.4).toarray()
         scale = max(np.abs(out).max() * 11, 1e-300)
         assert np.abs(out.sum(axis=1)).max() <= 1e-9 * scale
+
+
+class TestWCoeffsFactored:
+    def test_keeps_index_arithmetic(self):
+        fg = random_factored_gram(25, 3, seed=11, psd=False)
+        pairs = bernoulli_sample(25, 0.4, seed=12)
+        du = fg.U[pairs.ii] - fg.U[pairs.jj]
+        assert np.array_equal(db.w_coeffs_factored(fg.U, fg.eigs, pairs), (du * du) @ fg.eigs)
 
 
 class TestWExpand:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edmc.dualbasis import w_coeffs
+from edmc.dualbasis import w_coeffs, w_expand
 from edmc.manifold import (RankCollapseError, TangentVector, hard_threshold,
-                           project_tangent, retract_structured)
+                           project_tangent, project_w_expansion, retract_structured)
 from edmc.sampling import bernoulli_sample
 
 from conftest import random_centered_symmetric, random_factored_gram
@@ -37,6 +37,14 @@ class TestProjectTangent:
         y = random_centered_symmetric(10, seed=5)
         t = project_tangent(fg, y)
         dense = dense_projection(fg.U, y)
+        assert np.abs(t.matrix() - dense).max() <= 1e-11
+
+    def test_w_expansion_matches_assembled_matrix(self):
+        fg = random_factored_gram(12, 3, seed=6)
+        pairs = bernoulli_sample(12, 0.5, seed=7)
+        g = np.random.default_rng(8).standard_normal(len(pairs))
+        t = project_w_expansion(fg, g, pairs)
+        dense = dense_projection(fg.U, w_expand(g, pairs).toarray())
         assert np.abs(t.matrix() - dense).max() <= 1e-11
 
     def test_accepts_sparse_input(self):
@@ -177,6 +185,19 @@ class TestTangentVector:
         a = self._random_tangent(fg, 18)
         b = self._random_tangent(fg, 19)
         assert a.inner(b) == pytest.approx(np.sum(a.matrix() * b.matrix()), rel=1e-10)
+
+    def test_w_coeffs_keep_index_arithmetic(self):
+        # the incidence products round exactly like the index gathers that
+        # solver traces were recorded with
+        fg = random_factored_gram(30, 3, seed=21)
+        t = self._random_tangent(fg, 22)
+        pairs = bernoulli_sample(30, 0.4, seed=23)
+        ii, jj = pairs.ii, pairs.jj
+        U, um = fg.U, fg.U @ t.M
+        du = U[ii] - U[jj]
+        ref = np.einsum("ij,ij->i", um[ii] - um[jj], du)
+        ref += 2.0 * np.einsum("ij,ij->i", t.Zu[ii] - t.Zu[jj], du)
+        assert np.array_equal(t.w_coeffs(pairs), ref)
 
     def test_shape_validation(self):
         fg = random_factored_gram(5, 2, seed=20)

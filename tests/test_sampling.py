@@ -70,6 +70,25 @@ class TestPairSet:
             seen.add((i, j))
         assert seen == {(min(i, j), max(i, j)) for i, j in raw}
 
+    def test_incidence_rows_are_signed_pairs(self):
+        pairs = bernoulli_sample(9, 0.5, seed=3)
+        B = pairs.incidence
+        assert B.data.dtype == np.int8 and B.indices.dtype == np.int32
+        expected = np.zeros((len(pairs), 9))
+        expected[np.arange(len(pairs)), pairs.ii] = 1.0
+        expected[np.arange(len(pairs)), pairs.jj] = -1.0
+        assert np.array_equal(B.toarray(), expected)
+        assert pairs.incidence is B
+        assert PairSet.from_pairs(4, []).incidence.shape == (0, 4)
+
+    def test_indices_are_read_only_copies(self):
+        ii, jj = np.array([0, 1]), np.array([2, 2])
+        pairs = PairSet(3, ii, jj)
+        ii[0] = 1
+        assert pairs.ii[0] == 0
+        with pytest.raises(ValueError):
+            pairs.ii[0] = 1
+
 
 class TestObserve:
     def test_two_point_single_pair(self):
@@ -178,3 +197,9 @@ class TestSampledDistancesIO:
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
             SampledDistances(PairSet.from_pairs(3, [(0, 1)]), np.array([-1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        pairs = PairSet.from_pairs(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="non-finite distances"):
+            SampledDistances(pairs, np.array([1.0, bad]))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from edmc.geometry import FactoredGram, gram_from_points, truncated_gram
-from edmc.manifold import project_tangent
+from edmc.dualbasis import m_omega_dense, rstar_r_dense
+from edmc.manifold import hard_threshold, project_tangent
 from edmc.sampling import PairSet, bernoulli_sample, observe
 from edmc.solver import (DegenerateInitError, DegenerateStepError, Problem,
                          SolverConfig, init_one_step, recover_points, solve,
@@ -145,6 +146,29 @@ class TestSolve:
         assert len(lines) == len(result.trace.records) + 1
         assert lines[-1]["status"] == "converged"
         assert lines[0]["iteration"] == 0
+
+
+class TestOneIterationOracle:
+    """One ``solve`` iteration against a step built from the dense oracles."""
+
+    @pytest.mark.parametrize("mode", ["normal", "debiased"])
+    def test_matches_dense_iteration(self, mode):
+        n, r, p = 12, 2, 0.7
+        prob, truth, _ = make_problem(n, r, p, seed=21)
+        pairs = prob.data.pairs
+        x0 = random_factored_gram(n, r, seed=22)
+        result = solve(prob, x0=x0, config=SolverConfig(max_iters=1, gradient_op=mode))
+
+        def dense_op(y):
+            return rstar_r_dense(y, pairs) if mode == "normal" else m_omega_dense(y, pairs, p)
+
+        x = x0.matrix()
+        t = project_tangent(x0, dense_op(truth - x)).matrix()
+        alpha = np.sum(t * t) / np.sum(t * dense_op(t))
+        expected = hard_threshold(x + alpha * t, r).matrix()
+        (rec,) = result.trace.records
+        assert rec.step_size == pytest.approx(alpha, rel=1e-10)
+        assert np.abs(result.gram.matrix() - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 class TestStepSize:
