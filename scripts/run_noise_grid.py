@@ -13,7 +13,6 @@ default table spans the transition.
 """
 
 import argparse
-import os
 
 import numpy as np
 
@@ -33,7 +32,7 @@ def main():
     parser.add_argument("--trials", type=int, default=100)
     parser.add_argument("--threshold", type=float, default=1e-2)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default="noise_grid.csv")
     args = parser.parse_args()
 

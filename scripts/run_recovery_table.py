@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from edmc.geometry import gram_from_points
+from edmc.geometry import factored_gram_from_points, gram_from_points
 from edmc.sampling import bernoulli_sample, observe
 from edmc.solver import Problem, SolverConfig, solve
 from edmc.synthdata import DatasetSpec, generate
@@ -29,9 +29,9 @@ def run_cell(spec, p, seeds, tol, tol_mode):
         points = generate(DatasetSpec(spec.kind, n=spec.n, r=spec.r, seed=seed,
                                       swiss_turns=spec.swiss_turns,
                                       swiss_height=spec.swiss_height))
-        truth = gram_from_points(points)
         pairs = bernoulli_sample(spec.n, p, seed=10_000 + seed)
-        data = observe(truth, pairs, p=p, seed=10_000 + seed)
+        data = observe(gram_from_points(points), pairs, p=p, seed=10_000 + seed)
+        truth = factored_gram_from_points(points)
         config = SolverConfig(truth=truth, change_tol=tol, change_tol_mode=tol_mode)
         result = solve(Problem(data, rank=3), config=config)
         errs.append(result.trace.records[-1].rel_truth_error)

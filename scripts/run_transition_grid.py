@@ -7,7 +7,6 @@ error beats the success threshold.  Output is a plot-ready CSV.
 """
 
 import argparse
-import os
 
 import numpy as np
 
@@ -25,7 +24,7 @@ def main():
     parser.add_argument("--trials", type=int, default=20)
     parser.add_argument("--threshold", type=float, default=1e-3)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default="transition_grid.csv")
     args = parser.parse_args()
 

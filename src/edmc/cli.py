@@ -20,8 +20,9 @@ import numpy as np
 from . import __version__
 from .diagnostics import incoherence
 from .experiments import (ExperimentConfig, GRID_CSV_COLUMNS, grid_rows, run_grid)
-from .geometry import (FactoredGram, gram_from_points, procrustes_error,
-                       read_points_csv, truncated_gram, write_points_csv)
+from .geometry import (FactoredGram, factored_gram_from_points, gram_from_points,
+                       procrustes_error, read_points_csv, truncated_gram,
+                       write_points_csv)
 from .sampling import SampledDistances, bernoulli_sample, observe
 from .solver import (Problem, SolverConfig, init_one_step, recover_points, solve)
 from .synthdata import DatasetSpec, generate
@@ -101,7 +102,7 @@ def cmd_solve(args):
     if args.truth:
         truth_points = read_points_csv(args.truth)
         truth_points = truth_points - truth_points.mean(axis=0)
-        truth = gram_from_points(truth_points)
+        truth = factored_gram_from_points(truth_points)
     config = SolverConfig(max_iters=args.max_iters, change_tol=args.tol,
                           change_tol_mode=args.tol_mode,
                           gradient_op=args.gradient_op, truth=truth)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import gram_from_points
+from .geometry import factored_gram_from_points, gram_from_points
 from .sampling import (NoiseSpec, bernoulli_sample, observe, oversampling_ratio,
                        perturb_points, probability_for_ratio)
 from .solver import Problem, SolveResult, SolverConfig, solve
@@ -85,6 +85,7 @@ class TrialResult:
     iterations: int
     status: str
     seed: int
+    error: str = ""   # "<Type>: <message>" of the exception a degenerate trial raised
 
 
 @dataclass
@@ -111,13 +112,18 @@ def run_trial(dataset: DatasetSpec, cell: GridCell, seed: int,
     Generator datasets are drawn in the cell's rank (points on the sphere
     in r dimensions when sweeping r); file datasets are fixed.  The
     reported error is always measured against the clean ground truth, so
-    under point noise it is floored by the truth perturbation itself.
+    under point noise it is floored by the truth perturbation itself.  The
+    truth is the clean d-dimensional cloud's exact factored Gram, so
+    tracking it costs O(n (r + d)^2) per iteration and needs no n-by-n
+    array.  A solve that raises a ``RuntimeError`` or ``ValueError`` is
+    recorded as ``degenerate`` with the exception's type and message
+    instead of aborting the grid.
     """
     if dataset.kind == "file":
         points = generate(dataset)
     else:
         points = generate(replace(dataset, seed=seed, r=cell.r))
-    truth = gram_from_points(points)
+    truth = factored_gram_from_points(points)
     observed_points = points
     if cell.gamma is not None:
         observed_points = perturb_points(
@@ -135,8 +141,9 @@ def run_trial(dataset: DatasetSpec, cell: GridCell, seed: int,
         rel = rec.rel_truth_error
         return TrialResult(float(rel), len(result.trace.records),
                            result.trace.status, seed)
-    except RuntimeError:
-        return TrialResult(float("inf"), 0, "degenerate", seed)
+    except (RuntimeError, ValueError) as exc:
+        return TrialResult(float("inf"), 0, "degenerate", seed,
+                           error=f"{type(exc).__name__}: {exc}")
 
 
 def run_cell(dataset: DatasetSpec, cell: GridCell, base_seed: int, trials: int,

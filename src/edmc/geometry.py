@@ -140,6 +140,14 @@ def is_centered(points, tol=1e-10):
     return bool(np.abs(points.sum(axis=0)).max() <= tol * points.shape[0] * scale)
 
 
+def _centered_points(points):
+    points = np.asarray(points, dtype=float)
+    _check_finite(points, "points")
+    if not is_centered(points, tol=1e-8):
+        raise ValueError("points are not centered; call center_points first")
+    return points
+
+
 def gram_from_points(points):
     """Gram matrix ``P @ P.T`` of a centered point cloud.
 
@@ -149,11 +157,20 @@ def gram_from_points(points):
         Centered coordinates, one point per row.  Center with
         :func:`center_points` first if needed.
     """
-    points = np.asarray(points, dtype=float)
-    _check_finite(points, "points")
-    if not is_centered(points, tol=1e-8):
-        raise ValueError("points are not centered; call center_points first")
+    points = _centered_points(points)
     return points @ points.T
+
+
+def factored_gram_from_points(points):
+    """Exact factored Gram ``U diag(s^2) U^T`` of a centered ``(n, d)`` cloud.
+
+    Built from the thin SVD ``P = U diag(s) V^T`` in O(n d^2) work, with no
+    n-by-n array; the factor keeps all d columns, so it is exact whatever the
+    cloud's dimension.
+    """
+    points = _centered_points(points)
+    U, s, _ = np.linalg.svd(points, full_matrices=False)
+    return FactoredGram(U, s * s)
 
 
 def distances_from_gram(x):

@@ -89,13 +89,32 @@ class PairSet:
         return cls(n, ii, jj)
 
 
+#: uniforms drawn per block by :func:`bernoulli_sample`
+SAMPLE_BLOCK = 1 << 20
+
+
 def bernoulli_sample(n, p, seed):
-    """Include each of the L upper-triangle pairs independently with prob p."""
+    """Include each of the L upper-triangle pairs independently with prob p.
+
+    Pair ``t`` in the row-major order of ``np.triu_indices(n, 1)`` is kept
+    when the t-th uniform of the seeded stream is below p.  The uniforms are
+    drawn in blocks of ``SAMPLE_BLOCK`` and only the kept indices are held,
+    so memory is O(m + block) rather than O(L); the kept indices map back to
+    ``(i, j)`` through the row offsets.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"sampling probability {p} outside [0, 1]")
-    ii, jj = np.triu_indices(n, k=1)
-    mask = rng_from_seed(seed).random(ii.size) < p
-    return PairSet(n, ii[mask], jj[mask])
+    total = pair_count(n)
+    rng = rng_from_seed(seed)
+    hits = [np.flatnonzero(rng.random(min(SAMPLE_BLOCK, total - start)) < p) + start
+            for start in range(0, total, SAMPLE_BLOCK)]
+    t = np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
+    # row i holds the pairs offsets[i] .. offsets[i] + n - i - 2
+    rows = np.arange(n, dtype=np.int64)
+    offsets = rows * (n - 1) - rows * (rows - 1) // 2
+    ii = np.searchsorted(offsets, t, side="right") - 1
+    jj = t - offsets[ii] + ii + 1
+    return PairSet(n, ii, jj)
 
 
 @dataclass(frozen=True)

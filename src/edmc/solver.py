@@ -43,7 +43,7 @@ class DegenerateInitError(RuntimeError):
 
 
 class DegenerateStepError(RuntimeError):
-    """The step-size quotient had a vanishing denominator."""
+    """The step-size quotient had a vanishing or non-finite term."""
 
 
 GRADIENT_OPS = ("normal", "debiased")
@@ -183,14 +183,19 @@ def step_size(tangent_g: TangentVector, pairs: PairSet, p,
     tangent vector.  For the de-biased operator the restricted-isometry
     analysis confines the step to ``[p^-2/(1+4*eps), p^-2/(1-4*eps)]``;
     ``flagged`` reports an excursion outside that interval (it stays False
-    for the normal operator, whose natural scale differs).
+    for the normal operator, whose natural scale differs).  A zero or
+    non-finite quotient term raises :class:`DegenerateStepError`.
     """
     num = tangent_g.norm_fro() ** 2
     if num == 0.0:
         raise DegenerateStepError("zero tangent direction")
     zc = tangent_g.w_coeffs(pairs)
     g2 = _gradient_coeffs(zc, pairs, p, gradient_op)
-    denom = float(g2 @ zc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = float(g2 @ zc)
+    if not (np.isfinite(num) and np.isfinite(denom)):
+        raise DegenerateStepError(
+            f"step-size quotient is not finite (numerator {num:.3g}, denominator {denom:.3g})")
     if denom == 0.0:
         raise DegenerateStepError("step-size quotient has zero denominator")
     alpha = num / denom

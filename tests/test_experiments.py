@@ -1,0 +1,85 @@
+import numpy as np
+import pytest
+
+from edmc import experiments, geometry, solver
+from edmc.experiments import GridCell, run_cell, run_trial
+from edmc.geometry import gram_from_points, write_points_csv
+from edmc.sampling import probability_for_ratio
+from edmc.solver import SolverConfig
+from edmc.synthdata import DatasetSpec, generate
+
+RHO = 5.0
+
+
+def _cell(n, r, gamma=None):
+    return GridCell(r=r, p=probability_for_ratio(n, r, RHO), rho=RHO, gamma=gamma)
+
+
+def _file_dataset(tmp_path, n, d, seed):
+    points = generate(DatasetSpec("unit_ball_uniform", n=n, r=d, seed=seed))
+    path = tmp_path / "cloud.csv"
+    write_points_csv(path, points)
+    return DatasetSpec("file", n=n, r=d, path=str(path))
+
+
+class TestFactoredTruth:
+    @pytest.mark.parametrize("case", ["noiseless", "gamma-3", "file_d4_r3"])
+    def test_matches_dense_truth_reference(self, case, tmp_path, monkeypatch):
+        if case == "file_d4_r3":
+            dataset, cell = _file_dataset(tmp_path, 60, 4, seed=8), _cell(60, 3)
+        else:
+            dataset = DatasetSpec("sphere_surface", n=80, r=3)
+            cell = _cell(80, 3, gamma=-3.0 if case == "gamma-3" else None)
+        config = SolverConfig(max_iters=300)
+        fast = run_trial(dataset, cell, 4, config)
+        # the reference tracks the dense truth P P^T along the same data path
+        monkeypatch.setattr(experiments, "factored_gram_from_points", gram_from_points)
+        dense = run_trial(dataset, cell, 4, config)
+        assert fast.status == dense.status and fast.status != "degenerate"
+        assert fast.iterations == dense.iterations
+        # both truths factor the same P P^T to about 1e-15 relative, which
+        # bounds how far the error can move; past that, 1e-12 relative
+        assert fast.rel_error == pytest.approx(dense.rel_error, rel=1e-12, abs=1e-14)
+
+    def test_no_dense_eigendecomposition(self, monkeypatch):
+        n = 500      # above the init's dense cutoff
+        real_eigh = np.linalg.eigh
+
+        def small_eigh(a, *args, **kwargs):
+            if np.shape(a)[0] >= n:
+                raise AssertionError(f"eigh of a {np.shape(a)} matrix")
+            return real_eigh(a, *args, **kwargs)
+
+        def no_truncation(*args, **kwargs):
+            raise AssertionError("truncated_gram called")
+
+        monkeypatch.setattr(np.linalg, "eigh", small_eigh)
+        monkeypatch.setattr(geometry, "truncated_gram", no_truncation)
+        monkeypatch.setattr(solver, "truncated_gram", no_truncation)
+        trial = run_trial(DatasetSpec("sphere_surface", n=n, r=3), _cell(n, 3), 2,
+                          SolverConfig())
+        assert trial.status == "converged" and trial.error == ""
+        assert trial.rel_error < 1e-3
+
+
+class TestTrialFailures:
+    @pytest.mark.parametrize("exc", [ValueError("bad input"),
+                                     np.linalg.LinAlgError("no convergence"),
+                                     RuntimeError("stuck")])
+    def test_failed_trial_recorded_in_cell(self, exc, monkeypatch):
+        real_solve = experiments.solve
+
+        def solve_failing_once(problem, config=None):
+            if problem.data.seed == 3:
+                raise exc
+            return real_solve(problem, config=config)
+
+        monkeypatch.setattr(experiments, "solve", solve_failing_once)
+        res = run_cell(DatasetSpec("sphere_surface", n=40, r=2), _cell(40, 2),
+                       base_seed=0, trials=5, solver_config=SolverConfig())
+        assert [t.seed for t in res.trials] == [0, 1, 2, 3, 4]
+        bad = res.trials[3]
+        assert bad.status == "degenerate" and bad.rel_error == float("inf")
+        assert bad.error == f"{type(exc).__name__}: {exc}"
+        assert all(t.status != "degenerate" and t.error == ""
+                   for t in res.trials if t.seed != 3)

@@ -4,10 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from edmc.geometry import (FactoredGram, NotEmbeddableError, center_points,
                            classical_mds, distances_from_gram,
-                           gram_from_distances, gram_from_points, gram_inner,
+                           factored_gram_from_points, gram_from_distances,
+                           gram_from_points, gram_inner,
                            gram_frobenius_error, magnitude_order,
                            procrustes_error, read_points_csv, truncated_gram,
                            write_points_csv)
+from edmc.synthdata import DatasetSpec, generate
 
 from conftest import centered_orthonormal, random_centered_gram
 
@@ -37,6 +39,32 @@ class TestGramFromPoints:
     def test_rejects_uncentered(self):
         with pytest.raises(ValueError, match="centered"):
             gram_from_points(np.array([[1.0, 1.0], [3.0, 1.0]]))
+
+
+class TestFactoredGramFromPoints:
+    @pytest.mark.parametrize("spec", [
+        DatasetSpec("sphere_surface", n=80, r=3, seed=1),
+        DatasetSpec("swiss_roll", n=120, r=3, seed=2),
+        DatasetSpec("unit_ball_uniform", n=70, r=4, seed=3),
+    ], ids=["sphere", "swiss_roll", "ball_d4"])
+    def test_matches_dense_truncation(self, spec):
+        points = generate(spec)
+        d = points.shape[1]
+        dense = truncated_gram(gram_from_points(points), d)
+        fg = factored_gram_from_points(points)
+        assert fg.r == d
+        fg.validate()
+        assert gram_frobenius_error(fg, dense) <= 1e-12 * dense.norm_fro()
+        assert np.all(np.diff(fg.eigs) <= 0)
+
+    def test_rejects_uncentered(self):
+        with pytest.raises(ValueError, match="centered"):
+            factored_gram_from_points(np.array([[1.0, 1.0], [3.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            factored_gram_from_points(np.array([[bad, 0.0], [0.0, 0.0]]))
 
 
 class TestDistancesFromGram:

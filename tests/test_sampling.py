@@ -1,14 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from edmc.geometry import distances_from_gram
-from edmc.sampling import (NoiseSpec, PairSet, SampledDistances,
+from edmc.sampling import (SAMPLE_BLOCK, NoiseSpec, PairSet, SampledDistances,
                            bernoulli_sample, degrees_of_freedom, observe,
                            oversampling_ratio, pair_count, perturb_points,
-                           probability_for_ratio)
+                           probability_for_ratio, rng_from_seed)
 from edmc.synthdata import DatasetSpec, generate
 
 from conftest import noise_floor, random_centered_gram
@@ -44,6 +45,33 @@ class TestBernoulliSample:
         )
         se = np.sqrt(p * (1 - p) / (L * trials))
         assert abs(fills.mean() - p) <= 3 * se
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1002, 1450])
+    @pytest.mark.parametrize("p", [0.0, 0.05, 1.0])
+    def test_matches_full_draw_oracle(self, n, p):
+        # the one-shot form: every pair index and one uniform per pair
+        ii, jj = np.triu_indices(n, k=1)
+        mask = rng_from_seed(12).random(ii.size) < p
+        pairs = bernoulli_sample(n, p, seed=12)
+        assert pairs.ii.dtype == ii.dtype and pairs.jj.dtype == jj.dtype
+        assert np.array_equal(pairs.ii, ii[mask])
+        assert np.array_equal(pairs.jj, jj[mask])
+
+    def test_oracle_sizes_cross_a_block(self):
+        assert pair_count(1002) < SAMPLE_BLOCK < pair_count(1450)
+
+    def test_memory_does_not_scale_with_pair_count(self):
+        # L is about 8M pairs here; the one-shot form peaks near 200 MB
+        n = 4000
+        p = probability_for_ratio(n, 3, 5)
+        tracemalloc.start()
+        try:
+            pairs = bernoulli_sample(n, p, seed=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(pairs) < 0.01 * pair_count(n)
+        assert peak < 32e6
 
 
 class TestPairSet:

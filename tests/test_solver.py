@@ -209,6 +209,16 @@ class TestStepSize:
         with pytest.raises(DegenerateStepError):
             step_size(zero, prob.data.pairs, prob.p)
 
+    def test_overflowing_denominator_raises(self):
+        # the de-biased quotient's denominator overflows to -inf on this
+        # instance; a step of -0.0 would freeze the iterate and stop the
+        # loop as "converged" at a residual near 1e152
+        points = generate(DatasetSpec("sphere_surface", n=100, r=3, seed=5))
+        pairs = bernoulli_sample(100, 0.3, seed=77)
+        data = observe(gram_from_points(points), pairs, p=0.3, seed=77)
+        with pytest.raises(DegenerateStepError, match="not finite"):
+            solve(Problem(data, rank=3), config=SolverConfig(gradient_op="debiased"))
+
 
 class TestRecoverPoints:
     def test_two_point_gram(self):
