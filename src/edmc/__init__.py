@@ -22,4 +22,18 @@ from .diagnostics import (CoherenceReport, RipEstimate, cross_coherence,
 from .synthdata import DatasetSpec, generate
 from .experiments import ExperimentConfig, run_grid, run_trial
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "FactoredGram", "NotEmbeddableError", "center_points", "classical_mds",
+    "distances_from_gram", "gram_from_distances", "gram_from_points",
+    "procrustes_error", "read_points_csv", "write_points_csv",
+    "NoiseSpec", "PairSet", "SampledDistances", "bernoulli_sample", "observe",
+    "oversampling_ratio", "perturb_points", "probability_for_ratio",
+    "RankCollapseError", "TangentVector", "hard_threshold", "project_tangent",
+    "retract_structured",
+    "DegenerateInitError", "DegenerateStepError", "Problem", "SolveResult",
+    "SolverConfig", "SolverTrace", "init_one_step", "recover_points", "solve",
+    "step_size",
+    "CoherenceReport", "RipEstimate", "cross_coherence", "incoherence",
+    "rip_estimate",
+    "DatasetSpec", "generate", "ExperimentConfig", "run_grid", "run_trial",
+]

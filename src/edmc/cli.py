@@ -21,8 +21,7 @@ from . import __version__
 from .diagnostics import incoherence
 from .experiments import (ExperimentConfig, GRID_CSV_COLUMNS, grid_rows, run_grid)
 from .geometry import (FactoredGram, factored_gram_from_points, gram_from_points,
-                       procrustes_error, read_points_csv, truncated_gram,
-                       write_points_csv)
+                       procrustes_error, read_points_csv, write_points_csv)
 from .sampling import SampledDistances, bernoulli_sample, observe
 from .solver import (Problem, SolverConfig, init_one_step, recover_points, solve)
 from .synthdata import DatasetSpec, generate
@@ -140,8 +139,11 @@ def cmd_diagnose(args):
         gram = _load_gram_json(args.gram)
     else:
         points = read_points_csv(args.points)
-        points = points - points.mean(axis=0)
-        gram = truncated_gram(gram_from_points(points), args.r)
+        cloud = factored_gram_from_points(points - points.mean(axis=0))
+        if args.r > cloud.r:
+            raise ValueError(f"--r {args.r} exceeds the point cloud's dimension {cloud.r}")
+        # the thin SVD orders the columns by singular value: the top-r factor
+        gram = FactoredGram(cloud.U[:, :args.r], cloud.eigs[:args.r])
     report = incoherence(gram, cross_terms=not args.no_cross_terms)
     payload = json.loads(report.to_json())
     payload["_meta"] = output_meta({k: v for k, v in vars(args).items() if k != "func"}, None)

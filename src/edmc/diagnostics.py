@@ -51,11 +51,62 @@ class CoherenceReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _pairwise_sq_dists(U):
+#: float64 elements in one block of distance rows (2 MB): the blocked passes
+#: below hold a few such blocks, never an n-by-n array
+BLOCK_ELEMS = 1 << 18
+
+
+def _row_blocks(n):
+    """Row ranges ``[s, e)`` of an ``(n, n)`` array, about BLOCK_ELEMS each."""
+    step = max(1, BLOCK_ELEMS // n)
+    return ((s, min(s + step, n)) for s in range(0, n, step))
+
+
+def _sq_dist_blocks(U):
+    """Blocks of rows of ``||u_i - u_j||^2 = sq_i + sq_j - 2 u_i.u_j``.
+
+    Each entry is formed as in the full n-by-n expression; the diagonal is 0.
+    """
+    n = U.shape[0]
     sq = np.sum(U * U, axis=1)
-    d = sq[:, None] + sq[None, :] - 2.0 * (U @ U.T)
-    np.fill_diagonal(d, 0.0)
-    return d
+    for s, e in _row_blocks(n):
+        d = sq[s:e, None] + sq[None, :] - 2.0 * (U[s:e] @ U.T)
+        d[np.arange(e - s), np.arange(s, e)] = 0.0
+        yield s, e, d
+
+
+def _whitened_sq_dist_blocks(points, inv_lam):
+    """Blocks of rows of ``(p_i - p_j)^T Lambda^{-1} (p_i - p_j)``."""
+    n = points.shape[0]
+    w = points * inv_lam
+    sq = np.empty(n)
+    for s, e in _row_blocks(n):
+        sq[s:e] = np.diag(points[s:e] @ w[s:e].T)
+    for s, e in _row_blocks(n):
+        d = sq[s:e, None] + sq[None, :] - points[s:e] @ w.T - w[s:e] @ points.T
+        d[np.arange(e - s), np.arange(s, e)] = 0.0
+        yield s, e, d
+
+
+def _max_upper(blocks, n):
+    """``max_{i<j}`` over the blocks and its first pair in row-major order."""
+    best, pair = -np.inf, None
+    cols = np.arange(n)
+    for s, e, d in blocks:
+        d[cols[None, :] <= np.arange(s, e)[:, None]] = -np.inf
+        k = int(np.argmax(d))
+        if d.flat[k] > best:
+            best, pair = float(d.flat[k]), (s + k // n, k % n)
+    return best, pair
+
+
+def _top_two(blocks, n):
+    """Each row's two largest entries off the diagonal, as (second, first)."""
+    out = np.empty((n, 2))
+    for s, e, d in blocks:
+        d[np.arange(e - s), np.arange(s, e)] = -np.inf
+        out[s:e] = np.partition(d, n - 2, axis=1)[:, n - 2:]
+    return out
 
 
 def incoherence(x: FactoredGram, cross_terms=True) -> CoherenceReport:
@@ -63,7 +114,8 @@ def incoherence(x: FactoredGram, cross_terms=True) -> CoherenceReport:
 
     Also evaluates the whitened-point form ``(p_i - p_j)^T Lambda^{-1}
     (p_i - p_j)`` independently; the two agree to roundoff, which the
-    report exposes for verification.
+    report exposes for verification.  Both maxima come from blocked passes
+    over the distance rows, O(n^2 r) time in O(n) memory per block.
     """
     n, r = x.n, x.r
     if r == 0:
@@ -71,17 +123,13 @@ def incoherence(x: FactoredGram, cross_terms=True) -> CoherenceReport:
     if np.any(x.eigs == 0.0):
         raise ValueError("factored Gram carries a zero eigenvalue")
     U = x.U
-    d = _pairwise_sq_dists(U)
-    iu = np.triu_indices(n, k=1)
-    flat = d[iu]
-    k = int(np.argmax(flat))
-    pair = (int(iu[0][k]), int(iu[1][k]))
-    nu = n / (2.0 * r) * float(flat[k])
+    dmax, pair = _max_upper(_sq_dist_blocks(U), n)
+    nu = n / (2.0 * r) * dmax
 
     points = U * np.sqrt(np.abs(x.eigs))
     signs = np.sign(x.eigs)
-    dw = _pairwise_sq_dists_whitened(points, signs / np.abs(x.eigs))
-    whitened_nu = n / (2.0 * r) * float(dw[iu].max())
+    dw_max, _ = _max_upper(_whitened_sq_dist_blocks(points, signs / np.abs(x.eigs)), n)
+    whitened_nu = n / (2.0 * r) * dw_max
 
     cross = cross_term_max(x) if cross_terms else None
     return CoherenceReport(
@@ -95,15 +143,6 @@ def incoherence(x: FactoredGram, cross_terms=True) -> CoherenceReport:
         upper_bound=2.0 * n / r,
         cross_term_max=cross,
     )
-
-
-def _pairwise_sq_dists_whitened(points, inv_lam):
-    w = points * inv_lam
-    cross = points @ w.T
-    sq = np.diag(cross).copy()
-    d = sq[:, None] + sq[None, :] - cross - cross.T
-    np.fill_diagonal(d, 0.0)
-    return d
 
 
 def cross_coherence(x: FactoredGram, alpha, beta):
@@ -129,7 +168,66 @@ def cross_coherence(x: FactoredGram, alpha, beta):
 
 
 def cross_term_max(x: FactoredGram):
-    """Max ``|<P_U w_a, P_U w_b>|`` over distinct overlapping pairs."""
+    """Max ``|<P_U w_a, P_U w_b>|`` over distinct overlapping pairs.
+
+    That is the max over rows i and distinct j, k (both unlike i) of
+    ``|<u_i - u_j, u_i - u_k>|``, found exactly by branch and bound.  A
+    blocked pass gives each row's two largest squared distances d1 >= d2,
+    whose Cauchy-Schwarz product ``sqrt(d1 d2)`` bounds the row; rows are
+    searched in decreasing order of that bound until it falls to the best
+    value found.  Every bound is padded for roundoff, so no pair that could
+    win is skipped: the result is :func:`cross_term_max_dense`'s, up to how
+    the BLAS rounds one dot product in blocks of different shapes.
+    """
+    U = x.U
+    n, r = U.shape
+    if n < 3:
+        return 0.0
+    eps = np.finfo(float).eps
+    # the blocked form sq_i + sq_j - 2 u_i.u_j is within about (4r + 24) eps
+    # max_i sq_i of the squared norm of the row difference the search forms
+    pad = 8.0 * (r + 4) * eps * float(np.max(np.sum(U * U, axis=1)))
+    # a computed dot product of r-vectors is within (r + 2) eps of the exact
+    # one, relative to the product of the norms
+    slack = 1.0 + 4.0 * (r + 2) * eps
+    top = np.maximum(_top_two(_sq_dist_blocks(U), n), 0.0) + pad
+    bound = slack * slack * np.sqrt(top[:, 0] * top[:, 1])
+    best = 0.0
+    for i in np.argsort(-bound, kind="stable"):
+        if bound[i] <= best:
+            break
+        best = _row_cross_max(U, i, best, slack)
+    return best
+
+
+def _row_cross_max(U, i, best, slack):
+    """``max(best, max_{j != k} |<u_i - u_j, u_i - u_k>|)`` for one row i.
+
+    Only pairs whose padded norm product exceeds ``best`` are formed: with
+    the differences sorted by decreasing norm a, the rows from position s
+    on need only the columns whose a times a_s exceeds ``best``.
+    """
+    diff = U[i] - U                       # rows u_i - u_j, as the dense loop forms them
+    a = slack * np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    order = np.argsort(-a, kind="stable")
+    a = a[order]
+    live = int(np.count_nonzero(a * a[0] > best))
+    diff = diff[order[:live]]             # row i itself has a = 0 and never enters
+    s = 0
+    while live - s >= 2:
+        k = int(np.count_nonzero(a[:live] * a[s] > best))
+        if k - s < 2:
+            break
+        e = min(k, s + max(1, BLOCK_ELEMS // (k - s)))
+        g = np.abs(diff[s:e] @ diff[s:k].T)
+        g[np.arange(e - s), np.arange(e - s)] = 0.0   # j == k is the same pair
+        best = max(best, float(g.max()))
+        s = e
+    return best
+
+
+def cross_term_max_dense(x: FactoredGram):
+    """Dense oracle for :func:`cross_term_max`: one n-by-n Gram per row."""
     U = x.U
     n = x.n
     best = 0.0
@@ -144,9 +242,13 @@ def cross_term_max(x: FactoredGram):
 
 
 def sum_pairwise_row_distances(x: FactoredGram):
-    """``sum_{i<j} ||u_i - u_j||^2``; equals ``n * r`` for centered factors."""
-    d = _pairwise_sq_dists(x.U)
-    return float(d[np.triu_indices(x.n, k=1)].sum())
+    """``sum_{i<j} ||u_i - u_j||^2``; equals ``n * r`` for centered factors.
+
+    Closed form ``n sum_i ||u_i||^2 - ||sum_i u_i||^2``, O(n r).
+    """
+    U = x.U
+    total = U.sum(axis=0)
+    return float(x.n * np.sum(U * U) - total @ total)
 
 
 def coherence_gram_lambda_max(x: FactoredGram, dense_cutoff=64,

@@ -54,6 +54,9 @@ class ExperimentConfig:
             raise ValueError("specify exactly one of rho_grid and p_grid")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.dataset.kind == "file" and self.dataset.n < 1:
+            raise ValueError("a file dataset in a grid needs n, the file's point count: "
+                             "the cells derive p from it")
         thr = self.success_threshold
         if thr is not None and thr <= 0:
             raise ValueError("success threshold must be positive")
@@ -110,17 +113,20 @@ def run_trial(dataset: DatasetSpec, cell: GridCell, seed: int,
     """One seeded instance: generate, (perturb,) sample, solve, score.
 
     Generator datasets are drawn in the cell's rank (points on the sphere
-    in r dimensions when sweeping r); file datasets are fixed.  The
-    reported error is always measured against the clean ground truth, so
-    under point noise it is floored by the truth perturbation itself.  The
-    truth is the clean d-dimensional cloud's exact factored Gram, so
-    tracking it costs O(n (r + d)^2) per iteration and needs no n-by-n
-    array.  A solve that raises a ``RuntimeError`` or ``ValueError`` is
-    recorded as ``degenerate`` with the exception's type and message
-    instead of aborting the grid.
+    in r dimensions when sweeping r); file datasets are fixed and must
+    hold ``dataset.n`` points.  The reported error is always measured
+    against the clean ground truth, so under point noise it is floored by
+    the truth perturbation itself.  The truth is the clean d-dimensional
+    cloud's exact factored Gram, so tracking it costs O(n (r + d)^2) per
+    iteration and needs no n-by-n array.  A solve that raises a
+    ``RuntimeError`` or ``ValueError`` is recorded as ``degenerate`` with
+    the exception's type and message instead of aborting the grid.
     """
     if dataset.kind == "file":
         points = generate(dataset)
+        if points.shape[0] != dataset.n:
+            raise ValueError(f"{dataset.path} holds {points.shape[0]} points "
+                             f"but the dataset gives n={dataset.n}")
     else:
         points = generate(replace(dataset, seed=seed, r=cell.r))
     truth = factored_gram_from_points(points)
@@ -131,7 +137,7 @@ def run_trial(dataset: DatasetSpec, cell: GridCell, seed: int,
         )
         observed_points = observed_points - observed_points.mean(axis=0)
     observed = gram_from_points(observed_points)
-    pairs = bernoulli_sample(dataset.n, cell.p, seed)
+    pairs = bernoulli_sample(points.shape[0], cell.p, seed)
     data = observe(observed, pairs, p=cell.p, seed=seed)
     problem = Problem(data, rank=cell.r)
     config = replace(solver_config, truth=truth)

@@ -2,9 +2,14 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from edmc import geometry
 from edmc.cli import main
+from edmc.diagnostics import incoherence
+from edmc.geometry import gram_from_points, truncated_gram, write_points_csv
+from edmc.synthdata import DatasetSpec, generate
 
 
 def run_cli(args):
@@ -94,6 +99,43 @@ class TestPipeline:
                              capture_output=True, text=True)
         assert out.returncode == 0
         assert "generate" in out.stdout
+
+
+class TestDiagnosePoints:
+    @pytest.fixture
+    def cloud(self, tmp_path):
+        # a 4-d cloud, so --r 3 truncates
+        points = generate(DatasetSpec("unit_ball_uniform", n=300, r=4, seed=12))
+        path = tmp_path / "cloud.csv"
+        write_points_csv(path, points)
+        return points, path
+
+    def test_thin_svd_matches_dense_truncation(self, cloud, tmp_path, monkeypatch):
+        points, path = cloud
+        reference = incoherence(truncated_gram(gram_from_points(points), 3))
+        real_eigh = np.linalg.eigh
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense eigendecomposition in diagnose --points")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_dense)
+        monkeypatch.setattr(geometry, "truncated_gram", no_dense)
+        out = tmp_path / "coherence.json"
+        assert run_cli(["diagnose", "--points", str(path), "--r", "3",
+                        "--out", str(out)]) == 0
+        monkeypatch.setattr(np.linalg, "eigh", real_eigh)
+        report = json.loads(out.read_text())
+        for key in ("nu", "whitened_nu", "cross_term_max"):
+            assert report[key] == pytest.approx(getattr(reference, key), rel=1e-12)
+
+    def test_rank_above_dimension_names_both(self, cloud, tmp_path, capsys):
+        _, path = cloud
+        code = run_cli(["diagnose", "--points", str(path), "--r", "5",
+                        "--out", str(tmp_path / "c.json")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ValueError"
+        assert "5" in err["error"] and "dimension 4" in err["error"]
 
 
 GRID_CONFIG = {

@@ -1,13 +1,16 @@
 import itertools
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from edmc import diagnostics
 from edmc.diagnostics import (ANALYSIS_NU_SCALE, coherence_gram_lambda_max,
-                              cross_coherence, cross_term_max, incoherence,
-                              rip_estimate, sum_pairwise_row_distances)
+                              cross_coherence, cross_term_max, cross_term_max_dense,
+                              incoherence, rip_estimate, sum_pairwise_row_distances)
 from edmc.geometry import FactoredGram
 from edmc.sampling import PairSet, bernoulli_sample
 
@@ -28,6 +31,117 @@ def dense_projected_inner(u, alpha, beta):
     wa = pu @ w_alpha_dense(n, *alpha)
     wb = pu @ w_alpha_dense(n, *beta)
     return float(np.sum(wa * wb))
+
+
+CLOUD_KINDS = ("gaussian", "duplicated", "equal", "collinear", "clusters", "lattice")
+
+
+@st.composite
+def adversarial_factors(draw):
+    """Factors whose rows defeat loose pruning: repeats, ties, tight clusters.
+
+    Also draws the block size of the blocked passes, so small clouds still
+    run through several blocks and several chunks of the pruned search.
+    """
+    n = draw(st.integers(2, 40))
+    r = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(CLOUD_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gaussian":
+        u = rng.standard_normal((n, r))
+    elif kind == "duplicated":
+        base = rng.standard_normal((int(rng.integers(1, n + 1)), r))
+        u = base[rng.integers(0, base.shape[0], size=n)]
+    elif kind == "equal":
+        u = np.tile(rng.standard_normal(r), (n, 1))
+    elif kind == "collinear":
+        u = np.outer(rng.standard_normal(n), rng.standard_normal(r))
+    elif kind == "clusters":
+        centre = rng.standard_normal(r)
+        side = rng.choice([-1.0, 1.0], size=n)
+        u = side[:, None] * centre + 1e-9 * rng.standard_normal((n, r))
+    else:   # small binary fractions: every product and sum is exact, ties abound
+        u = 0.25 * rng.integers(-2, 3, size=(n, r)).astype(float)
+    eigs = rng.uniform(0.5, 3.0, size=r) * rng.choice([-1.0, 1.0], size=r)
+    block = draw(st.sampled_from([1, 7, 64, diagnostics.BLOCK_ELEMS]))
+    return FactoredGram(u, eigs), kind, block
+
+
+def dense_incoherence(x):
+    """The n-by-n reference: nu, its first (i<j) pair, and the whitened nu."""
+    U = x.U
+    n, r = U.shape
+    sq = np.sum(U * U, axis=1)
+    d = sq[:, None] + sq[None, :] - 2.0 * (U @ U.T)
+    iu = np.triu_indices(n, k=1)
+    k = int(np.argmax(d[iu]))
+    points = U * np.sqrt(np.abs(x.eigs))
+    cross = points @ (points * (np.sign(x.eigs) / np.abs(x.eigs))).T
+    sqw = np.diag(cross)
+    dw = sqw[:, None] + sqw[None, :] - cross - cross.T
+    scale = n / (2.0 * r)
+    return scale * d[iu][k], (int(iu[0][k]), int(iu[1][k])), scale * dw[iu].max()
+
+
+class TestCrossTermSearch:
+    @given(adversarial_factors())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_oracle(self, case):
+        x, kind, block = case
+        with mock.patch.object(diagnostics, "BLOCK_ELEMS", block):
+            fast = cross_term_max(x)
+        dense = cross_term_max_dense(x)
+        assert fast == pytest.approx(dense, rel=1e-12, abs=0.0)
+        if kind == "equal":
+            assert fast == 0.0
+
+    @given(adversarial_factors())
+    @settings(max_examples=200, deadline=None)
+    def test_report_matches_dense_reference(self, case):
+        x, kind, block = case
+        with mock.patch.object(diagnostics, "BLOCK_ELEMS", block):
+            rep = incoherence(x, cross_terms=False)
+        nu, pair, whitened_nu = dense_incoherence(x)
+        # a one-row block is a matrix-vector product, which may round its
+        # last bit differently: allow that much against the entries' scale
+        U = x.U
+        floor = 1e-12 * x.n / (2.0 * x.r) * 4.0 * np.max(np.sum(U * U, axis=1))
+        assert rep.nu == pytest.approx(nu, rel=1e-12, abs=floor)
+        assert rep.whitened_nu == pytest.approx(whitened_nu, rel=1e-12, abs=floor)
+        i, j = rep.argmax_pair
+        assert i < j
+        du = U[i] - U[j]
+        assert x.n / (2.0 * x.r) * (du @ du) == pytest.approx(nu, rel=1e-12, abs=floor)
+        if kind == "lattice":   # exact arithmetic: the tie-break is the reference's
+            assert rep.argmax_pair == pair
+
+    def test_search_continues_past_the_first_row(self):
+        # row 3 has the largest bound (106.3) but reaches only 104; row 4,
+        # bounded by 105.2, holds the answer 105: the search may stop only
+        # once a bound falls to the best value, not near it
+        u = np.array([[4.0, -2.0], [-4.0, 3.0], [2.0, -2.0], [-4.0, 4.0], [3.0, -4.0]])
+        x = FactoredGram(u, np.ones(2))
+        assert cross_term_max(x) == cross_term_max_dense(x) == 105.0
+
+    def test_first_pair_wins_ties(self):
+        # a square: both diagonals are maximal; the first in (i<j) order is (0, 2)
+        u = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]) / np.sqrt(2.0)
+        for block in (1, 3, diagnostics.BLOCK_ELEMS):
+            with mock.patch.object(diagnostics, "BLOCK_ELEMS", block):
+                rep = incoherence(FactoredGram(u, np.ones(2)), cross_terms=False)
+            assert rep.argmax_pair == (0, 2)
+
+    def test_peak_memory_has_no_square_array(self):
+        # one 4000 x 4000 float64 array is 128 MB
+        x = random_factored_gram(4000, 3, seed=16)
+        tracemalloc.start()
+        try:
+            rep = incoherence(x, cross_terms=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        assert 0.0 < rep.cross_term_max <= 2.0 * x.r * rep.nu / x.n
 
 
 class TestIncoherence:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from edmc import experiments, geometry, solver
-from edmc.experiments import GridCell, run_cell, run_trial
+from edmc.experiments import ExperimentConfig, GridCell, run_cell, run_grid, run_trial
 from edmc.geometry import gram_from_points, write_points_csv
 from edmc.sampling import probability_for_ratio
 from edmc.solver import SolverConfig
@@ -83,3 +83,24 @@ class TestTrialFailures:
         assert bad.error == f"{type(exc).__name__}: {exc}"
         assert all(t.status != "degenerate" and t.error == ""
                    for t in res.trials if t.seed != 3)
+
+
+class TestFileDatasets:
+    def test_grid_runs_on_the_file(self, tmp_path):
+        dataset = _file_dataset(tmp_path, 30, 2, seed=3)
+        config = ExperimentConfig(dataset=dataset, r_grid=(2,), rho_grid=(RHO,), trials=3)
+        (res,) = run_grid(config)
+        assert [t.status for t in res.trials] == ["converged"] * 3
+        assert res.success_fraction(config.threshold()) == 1.0
+
+    def test_row_count_must_match_n(self, tmp_path):
+        dataset = _file_dataset(tmp_path, 30, 2, seed=3)
+        wrong = DatasetSpec("file", n=40, r=2, path=dataset.path)
+        with pytest.raises(ValueError, match=r"30 points.*n=40"):
+            run_trial(wrong, _cell(40, 2), 0, SolverConfig())
+
+    def test_grid_needs_n(self, tmp_path):
+        dataset = _file_dataset(tmp_path, 30, 2, seed=3)
+        with pytest.raises(ValueError, match="needs n"):
+            ExperimentConfig(dataset=DatasetSpec("file", path=dataset.path),
+                             r_grid=(2,), rho_grid=(RHO,))
