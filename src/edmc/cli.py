@@ -137,6 +137,10 @@ def cmd_solve(args):
 def cmd_diagnose(args):
     if args.gram:
         gram = _load_gram_json(args.gram)
+        try:
+            gram.validate()
+        except ValueError as exc:
+            raise ValueError(f"--gram {args.gram}: {exc}") from exc
     else:
         points = read_points_csv(args.points)
         cloud = factored_gram_from_points(points - points.mean(axis=0))

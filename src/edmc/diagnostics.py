@@ -334,9 +334,11 @@ def rip_estimate(x: FactoredGram, pairs: PairSet, p, seed=0,
         return TangentVector(x, m, zu - zu.mean(axis=0, keepdims=True))
 
     t = canonical(project_tangent(x, start))
+    dU = pairs.incidence @ x.U   # the point is fixed: one BU for every iteration
 
     def apply_op(tv: TangentVector) -> TangentVector:
-        image = project_w_expansion(x, db.m_omega_coeffs(tv.w_coeffs(pairs), pairs, p), pairs)
+        image = project_w_expansion(x, db.m_omega_coeffs(tv.w_coeffs(pairs, dU), pairs, p),
+                                    pairs)
         return canonical(image.add(tv.scale(-p**2)))
 
     norm = t.norm_fro()

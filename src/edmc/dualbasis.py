@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags_array
+from scipy.sparse import csr_array, diags_array
 from scipy.sparse.linalg import LinearOperator
 
 from .sampling import PairSet, pair_count
@@ -123,17 +123,37 @@ def w_coeffs(x, pairs: PairSet):
     return x[ii, ii] + x[jj, jj] - 2.0 * x[ii, jj]
 
 
-def w_coeffs_factored(U, eigs, pairs: PairSet):
-    """``<U diag(eigs) U^T, w_a>`` in O(m r): row differences ``BU`` of U."""
-    dU = pairs.incidence @ U
+def w_coeffs_factored(U, eigs, pairs: PairSet, dU=None):
+    """``<U diag(eigs) U^T, w_a>`` in O(m r): row differences ``BU`` of U.
+
+    ``dU``, when given, is ``pairs.incidence @ U`` formed by the caller.
+    """
+    if dU is None:
+        dU = pairs.incidence @ U
     return (dU * dU) @ eigs
+
+
+def pair_matrix(g, pairs: PairSet):
+    """``A_g``: the n x n upper-triangular CSR matrix with ``g_a`` at
+    ``(i_a, j_a)``, on the cached pattern ``pairs.upper_pattern``.
+
+    ``A_g @ V`` and ``A_g.T @ V`` add ``g_a V[j_a]`` into row ``i_a`` and
+    ``g_a V[i_a]`` into row ``j_a`` in pair order, so they round exactly like
+    ``np.bincount`` over the pairs, for every column at once.
+    """
+    indptr, indices = pairs.upper_pattern
+    return csr_array((np.asarray(g, dtype=float), indices, indptr),
+                     shape=(pairs.n, pairs.n))
+
+
+def _row_sums(a):
+    ones = np.ones(a.shape[0])
+    return a @ ones + a.T @ ones
 
 
 def pair_row_sums(c, pairs: PairSet):
     """Per-point sums ``s_i = sum of c_a over the pairs a containing i``."""
-    c = np.asarray(c, dtype=float)
-    return (np.bincount(pairs.ii, weights=c, minlength=pairs.n)
-            + np.bincount(pairs.jj, weights=c, minlength=pairs.n))
+    return _row_sums(pair_matrix(c, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +174,15 @@ def w_expand(g, pairs: PairSet):
 
 def w_expand_matvec(g, pairs: PairSet, V):
     """``(sum_b g_b w_b) @ V = B^T (g * BV)``, summed as the diagonal times V
-    minus the off-diagonal pattern: trials near the boundary between the
-    truth and a spurious point change outcome with the summation order."""
-    n = pairs.n
-    ii, jj = pairs.ii, pairs.jj
-    g = np.asarray(g, dtype=float)
+    minus the upper and lower off-diagonal patterns ``A_g`` and ``A_g^T``:
+    trials near the boundary between the truth and a spurious point change
+    outcome with the summation order.  The result takes V's memory layout,
+    which later BLAS products round by."""
+    a = pair_matrix(g, pairs)
     V = np.asarray(V, dtype=float)
-    out = pair_row_sums(g, pairs)[:, None] * V
-    for k in range(V.shape[1]):
-        out[:, k] -= np.bincount(ii, weights=g * V[jj, k], minlength=n)
-        out[:, k] -= np.bincount(jj, weights=g * V[ii, k], minlength=n)
+    out = _row_sums(a)[:, None] * V
+    out -= a @ V
+    out -= a.T @ V
     return out
 
 

@@ -34,7 +34,13 @@ class GridCell:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A full grid: dataset x rank grid x sampling grid x noise grid."""
+    """A full grid: dataset x rank grid x sampling grid x noise grid.
+
+    For a generator dataset, trial t of a cell draws its cloud with seed
+    ``seed + t`` in the cell's rank: ``dataset.seed`` and ``dataset.r``
+    are replaced, not combined.  A file dataset is the same fixed cloud in
+    every trial; only the sample and the noise change with the seed.
+    """
 
     dataset: DatasetSpec
     r_grid: tuple
@@ -112,15 +118,17 @@ def run_trial(dataset: DatasetSpec, cell: GridCell, seed: int,
               solver_config: SolverConfig) -> TrialResult:
     """One seeded instance: generate, (perturb,) sample, solve, score.
 
-    Generator datasets are drawn in the cell's rank (points on the sphere
-    in r dimensions when sweeping r); file datasets are fixed and must
-    hold ``dataset.n`` points.  The reported error is always measured
-    against the clean ground truth, so under point noise it is floored by
-    the truth perturbation itself.  The truth is the clean d-dimensional
-    cloud's exact factored Gram, so tracking it costs O(n (r + d)^2) per
-    iteration and needs no n-by-n array.  A solve that raises a
-    ``RuntimeError`` or ``ValueError`` is recorded as ``degenerate`` with
-    the exception's type and message instead of aborting the grid.
+    Generator datasets are drawn with the trial's ``seed`` and in the
+    cell's rank (points on the sphere in r dimensions when sweeping r):
+    these replace ``dataset.seed`` and ``dataset.r``.  File datasets are
+    fixed and must hold ``dataset.n`` points.  The reported error is
+    always measured against the clean ground truth, so under point noise
+    it is floored by the truth perturbation itself.  The truth is the
+    clean d-dimensional cloud's exact factored Gram, so tracking it costs
+    O(n (r + d)^2) per iteration and needs no n-by-n array.  A solve that
+    raises a ``RuntimeError`` or ``ValueError`` is recorded as
+    ``degenerate`` with the exception's type and message instead of
+    aborting the grid.
     """
     if dataset.kind == "file":
         points = generate(dataset)
@@ -175,9 +183,12 @@ def run_grid(config: ExperimentConfig):
             for cell in cells]
 
 
+#: the statuses a trial can end with, each counted in its own grid column
+TRIAL_STATUSES = ("converged", "max_iters", "diverged", "degenerate")
+
 GRID_CSV_COLUMNS = ("r", "rho", "p", "gamma", "trials", "successes",
-                    "success_fraction", "median_rel_error", "median_iterations",
-                    "wall_time_s")
+                    "success_fraction", *TRIAL_STATUSES, "median_rel_error",
+                    "median_iterations", "wall_time_s")
 
 
 def grid_rows(results, threshold):
@@ -194,6 +205,8 @@ def grid_rows(results, threshold):
             "trials": len(res.trials),
             "successes": successes,
             "success_fraction": successes / len(res.trials),
+            **{status: sum(1 for t in res.trials if t.status == status)
+               for status in TRIAL_STATUSES},
             "median_rel_error": res.median_rel_error(),
             "median_iterations": res.median_iterations(),
             "wall_time_s": res.wall_time_s,

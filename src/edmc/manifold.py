@@ -57,14 +57,20 @@ class TangentVector:
         U = self.base.U
         return U @ self.M @ U.T + self.Zu @ U.T + U @ self.Zu.T
 
-    def w_coeffs(self, pairs: PairSet):
+    def w_coeffs(self, pairs: PairSet, dU=None):
         """``<T, w_a> = du M du^T + 2 dz . du`` in O(m r), du and dz the rows
-        of ``BU`` and ``BZu``."""
+        of ``BU`` and ``BZu``.
+
+        ``dU``, when given, is ``pairs.incidence @ base.U`` formed by the
+        caller; the incidence product rounds each column on its own, so
+        supplying it changes no bit of the result.
+        """
         U, r = self.base.U, self.base.r
-        d = pairs.incidence @ np.hstack([U @ self.M, self.Zu, U])
-        dU = d[:, 2 * r:]
+        if dU is None:
+            dU = pairs.incidence @ U
+        d = pairs.incidence @ np.hstack([U @ self.M, self.Zu])
         return (np.einsum("ij,ij->i", d[:, :r], dU)
-                + 2.0 * np.einsum("ij,ij->i", d[:, r:2 * r], dU))
+                + 2.0 * np.einsum("ij,ij->i", d[:, r:], dU))
 
 
 def _split(base: FactoredGram, yu) -> TangentVector:

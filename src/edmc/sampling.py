@@ -76,6 +76,18 @@ class PairSet:
         indptr = np.arange(0, 2 * m + 1, 2, dtype=np.int32)
         return csr_array((data, indices, indptr), shape=(m, self.n))
 
+    @cached_property
+    def upper_pattern(self):
+        """Read-only CSR ``(indptr, indices)`` of the n x n strictly upper
+        triangle that holds the pairs: row i lists the j of its pairs in pair
+        order, so a product with this pattern adds the pairs' terms in the
+        order an index scatter over the pairs would."""
+        counts = np.bincount(self.ii, minlength=self.n)
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        indices = self.jj.astype(np.int32)
+        indptr.flags.writeable = indices.flags.writeable = False
+        return indptr, indices
+
     @classmethod
     def full(cls, n):
         ii, jj = np.triu_indices(n, k=1)

@@ -102,11 +102,17 @@ class SolverConfig:
 
 @dataclass
 class IterRecord:
+    """One iteration.  ``step_flagged`` is the step's excursion outside the
+    de-biased interval (see :func:`step_size`); ``boundary_tie`` is the
+    retracted iterate's tie at the rank boundary."""
+
     iteration: int
     step_size: float
     residual_norm: float
     rel_change: float
     rel_truth_error: float | None = None
+    step_flagged: bool = False
+    boundary_tie: bool = False
 
 
 @dataclass
@@ -175,7 +181,7 @@ def init_one_step(problem: Problem, dense_cutoff=400) -> FactoredGram:
 
 
 def step_size(tangent_g: TangentVector, pairs: PairSet, p,
-              gradient_op="normal", flag_eps=1.0 / 22.0):
+              gradient_op="normal", flag_eps=1.0 / 22.0, dU=None):
     """Exact step-size quotient ``<T, T> / <T, A(T)>`` for a projected
     gradient direction T, with A the ``gradient_op`` operator.
 
@@ -185,11 +191,12 @@ def step_size(tangent_g: TangentVector, pairs: PairSet, p,
     ``flagged`` reports an excursion outside that interval (it stays False
     for the normal operator, whose natural scale differs).  A zero or
     non-finite quotient term raises :class:`DegenerateStepError`.
+    ``dU`` is the base's ``pairs.incidence @ U`` when the caller has it.
     """
     num = tangent_g.norm_fro() ** 2
     if num == 0.0:
         raise DegenerateStepError("zero tangent direction")
-    zc = tangent_g.w_coeffs(pairs)
+    zc = tangent_g.w_coeffs(pairs, dU)
     g2 = _gradient_coeffs(zc, pairs, p, gradient_op)
     with np.errstate(over="ignore", invalid="ignore"):
         denom = float(g2 @ zc)
@@ -240,7 +247,9 @@ def solve(problem: Problem, x0: FactoredGram | None = None,
 
     current = x0
     for it in range(config.max_iters):
-        c = d - db.w_coeffs_factored(current.U, current.eigs, pairs)
+        # BU serves both the residual and the step's tangent coefficients
+        dU = pairs.incidence @ current.U
+        c = d - db.w_coeffs_factored(current.U, current.eigs, pairs, dU)
         residual_norm = float(np.linalg.norm(c))
         tangent = project_w_expansion(current, _gradient_coeffs(c, pairs, p, mode), pairs)
         if tangent.norm_fro() == 0.0:
@@ -250,7 +259,7 @@ def solve(problem: Problem, x0: FactoredGram | None = None,
             trace.status = "converged"
             return SolveResult(current, trace)
         try:
-            alpha, _ = step_size(tangent, pairs, p, mode)
+            alpha, flagged = step_size(tangent, pairs, p, mode, dU=dU)
             new = retract_structured(current, tangent, alpha)
         except (DegenerateStepError, RankCollapseError):
             trace.status = "degenerate"
@@ -259,7 +268,8 @@ def solve(problem: Problem, x0: FactoredGram | None = None,
         rel_change = change / max(current.norm_fro(), 1e-300)
         rel_err = truth_err(new) if truth_err else None
         trace.records.append(IterRecord(it, float(alpha), residual_norm,
-                                        float(rel_change), rel_err))
+                                        float(rel_change), rel_err,
+                                        bool(flagged), bool(new.boundary_tie)))
         current = new
         stop_value = rel_change if config.change_tol_mode == "relative" else change
         if stop_value < config.change_tol:

@@ -16,9 +16,14 @@ KINDS = ("sphere_surface", "swiss_roll", "unit_ball_uniform", "file")
 class DatasetSpec:
     """What to generate: kind, size, ambient dimension, seed.
 
-    ``swiss_roll`` ignores ``r`` (it is intrinsically 3-d) and takes the
+    ``swiss_roll`` is intrinsically 3-d (it needs ``r=3``) and takes the
     number of turns and the slab height as parameters; ``file`` reads a
     point-cloud CSV from ``path``.
+
+    In an experiment grid the spec is a template: for a generator kind,
+    every trial replaces ``seed`` with the trial seed and ``r`` with the
+    cell's rank (see :func:`edmc.experiments.run_trial`), so the values
+    given here are not used there.  File datasets are used as given.
     """
 
     kind: str

@@ -138,6 +138,39 @@ class TestDiagnosePoints:
         assert "5" in err["error"] and "dimension 4" in err["error"]
 
 
+class TestDiagnoseGram:
+    def _gram_file(self, path, U, eigs):
+        path.write_text(json.dumps({"n": U.shape[0], "r": U.shape[1],
+                                    "eigs": list(eigs), "U": U.tolist()}))
+        return path
+
+    def test_init_output_is_accepted(self, pipeline_dir):
+        init = pipeline_dir / "init.json"
+        assert run_cli(["init", "--data", str(pipeline_dir / "dist.csv"), "--r", "3",
+                        "--out", str(init)]) == 0
+        out = pipeline_dir / "coherence.json"
+        assert run_cli(["diagnose", "--gram", str(init), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["nu"] > 0
+
+    @pytest.mark.parametrize("defect,cause", [("scaled", "not orthonormal"),
+                                              ("shifted", "not centered")])
+    def test_invalid_factor_fails_with_its_cause(self, defect, cause, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((20, 2))
+        U = np.linalg.qr(g - g.mean(axis=0))[0]
+        if defect == "scaled":
+            U = 2.0 * U
+        else:  # orthonormal columns with a nonzero sum
+            U = np.linalg.qr(g)[0]
+        path = self._gram_file(tmp_path / f"{defect}.json", U, [2.0, 1.0])
+        out = tmp_path / "c.json"
+        code = run_cli(["diagnose", "--gram", str(path), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ValueError"
+        assert cause in err["error"] and str(path) in err["error"]
+
+
 GRID_CONFIG = {
     "dataset": {"kind": "sphere_surface", "n": 40, "r": 3, "seed": 0},
     "r_grid": [3],

@@ -253,6 +253,43 @@ class TestWCoeffsFactored:
         assert np.array_equal(db.w_coeffs_factored(fg.U, fg.eigs, pairs), (du * du) @ fg.eigs)
 
 
+class TestPairOrderedScatters:
+    """The CSR products on ``PairSet.upper_pattern`` against the per-column
+    ``np.bincount`` scatters that solver traces were recorded with."""
+
+    @staticmethod
+    def _scatter_reference(g, pairs, V):
+        n, ii, jj = pairs.n, pairs.ii, pairs.jj
+        s = np.bincount(ii, weights=g, minlength=n) + np.bincount(jj, weights=g, minlength=n)
+        out = s[:, None] * V
+        for k in range(V.shape[1]):
+            out[:, k] -= np.bincount(ii, weights=g * V[jj, k], minlength=n)
+            out[:, k] -= np.bincount(jj, weights=g * V[ii, k], minlength=n)
+        return s, out
+
+    @pytest.mark.parametrize("n,p,r", [(30, 0.4, 3), (200, 0.1, 5), (500, 0.05, 3),
+                                       (12, 1.0, 1), (6, 0.0, 2)])
+    def test_bitwise_equal_to_bincount_scatters(self, n, p, r):
+        pairs = bernoulli_sample(n, p, seed=n + r)
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal(len(pairs)) * np.exp(rng.uniform(-20, 20, len(pairs)))
+        V = rng.standard_normal((n, r))
+        assert np.array_equal(db.pair_row_sums(g, pairs), self._scatter_reference(g, pairs, V)[0])
+        # the layout too: a factor from eigh is Fortran-ordered, and the
+        # tangent projection's BLAS product U^T (W U) rounds by layout
+        for layout in (V, np.asfortranarray(V)):
+            out = db.w_expand_matvec(g, pairs, layout)
+            ref = self._scatter_reference(g, pairs, layout)[1]
+            assert np.array_equal(out, ref) and out.strides == ref.strides
+
+    def test_pair_matrix_holds_the_pairs(self):
+        pairs = bernoulli_sample(15, 0.5, seed=4)
+        g = np.arange(1.0, len(pairs) + 1)
+        dense = np.zeros((15, 15))
+        dense[pairs.ii, pairs.jj] = g
+        assert np.array_equal(db.pair_matrix(g, pairs).toarray(), dense)
+
+
 class TestWExpand:
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from edmc import experiments, geometry, solver
-from edmc.experiments import ExperimentConfig, GridCell, run_cell, run_grid, run_trial
+from edmc.experiments import (GRID_CSV_COLUMNS, TRIAL_STATUSES, ExperimentConfig, GridCell,
+                              grid_rows, run_cell, run_grid, run_trial)
 from edmc.geometry import gram_from_points, write_points_csv
 from edmc.sampling import probability_for_ratio
 from edmc.solver import SolverConfig
@@ -83,6 +84,10 @@ class TestTrialFailures:
         assert bad.error == f"{type(exc).__name__}: {exc}"
         assert all(t.status != "degenerate" and t.error == ""
                    for t in res.trials if t.seed != 3)
+        (row,) = grid_rows([res], threshold=1e-3)
+        assert {s: row[s] for s in TRIAL_STATUSES} == {
+            "converged": 4, "max_iters": 0, "diverged": 0, "degenerate": 1}
+        assert [s for s in GRID_CSV_COLUMNS if s in TRIAL_STATUSES] == list(TRIAL_STATUSES)
 
 
 class TestFileDatasets:

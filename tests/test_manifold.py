@@ -199,6 +199,12 @@ class TestTangentVector:
         ref += 2.0 * np.einsum("ij,ij->i", t.Zu[ii] - t.Zu[jj], du)
         assert np.array_equal(t.w_coeffs(pairs), ref)
 
+    def test_w_coeffs_with_supplied_dU_is_bitwise_equal(self):
+        fg = random_factored_gram(40, 3, seed=24)
+        t = self._random_tangent(fg, 25)
+        pairs = bernoulli_sample(40, 0.3, seed=26)
+        assert np.array_equal(t.w_coeffs(pairs, pairs.incidence @ fg.U), t.w_coeffs(pairs))
+
     def test_shape_validation(self):
         fg = random_factored_gram(5, 2, seed=20)
         with pytest.raises(ValueError):

@@ -109,6 +109,19 @@ class TestPairSet:
         assert pairs.incidence is B
         assert PairSet.from_pairs(4, []).incidence.shape == (0, 4)
 
+    @pytest.mark.parametrize("n,p", [(9, 0.5), (40, 0.2), (5, 0.0), (2, 1.0)])
+    def test_upper_pattern_lists_the_pairs_read_only(self, n, p):
+        pairs = bernoulli_sample(n, p, seed=n)
+        indptr, indices = pairs.upper_pattern
+        assert indptr.dtype == indices.dtype == np.int32
+        assert indptr.shape == (n + 1,) and indptr[0] == 0 and indptr[-1] == len(pairs)
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        assert np.array_equal(rows, pairs.ii) and np.array_equal(indices, pairs.jj)
+        assert pairs.upper_pattern is pairs.upper_pattern
+        for arr in (indptr, indices):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
     def test_indices_are_read_only_copies(self):
         ii, jj = np.array([0, 1]), np.array([2, 2])
         pairs = PairSet(3, ii, jj)

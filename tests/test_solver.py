@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from edmc import solver as solver_module
 from edmc.geometry import FactoredGram, gram_from_points, truncated_gram
 from edmc.dualbasis import m_omega_dense, rstar_r_dense
 from edmc.manifold import hard_threshold, project_tangent
@@ -148,6 +150,45 @@ class TestSolve:
         assert lines[0]["iteration"] == 0
 
 
+class TestTracedFlags:
+    def test_debiased_step_outside_interval_is_flagged(self, tmp_path):
+        # the third step of this converging de-biased solve is 1.39 p^-2,
+        # above the interval's upper end p^-2 / (1 - 4/22) = 1.22 p^-2
+        p = 0.5
+        prob, truth, _ = make_problem(80, 2, p, seed=3)
+        result = solve(prob, config=SolverConfig(truth=truth, gradient_op="debiased",
+                                                 max_iters=200))
+        assert result.trace.status == "converged"
+        lo, hi = p**-2 / (1.0 + 4.0 / 22.0), p**-2 / (1.0 - 4.0 / 22.0)
+        flags = [rec.step_flagged for rec in result.trace.records]
+        assert flags == [not lo <= rec.step_size <= hi for rec in result.trace.records]
+        assert flags[2] and sum(flags) == 1
+        path = tmp_path / "trace.jsonl"
+        result.trace.save_jsonl(path)
+        lines = [json.loads(line) for line in path.read_text().splitlines()[:-1]]
+        assert [line["step_flagged"] for line in lines] == flags
+        assert [line["boundary_tie"] for line in lines] == [False] * len(flags)
+
+    def test_normal_mode_never_flags(self):
+        prob, truth, _ = make_problem(60, 3, 0.35, seed=11)
+        result = solve(prob, config=SolverConfig(truth=truth, max_iters=20))
+        assert not any(rec.step_flagged for rec in result.trace.records)
+
+    def test_boundary_tie_taken_from_retracted_iterate(self, monkeypatch):
+        real = solver_module.retract_structured
+        calls = []
+
+        def tie_on_second(base, t, step):
+            calls.append(None)
+            out = real(base, t, step)
+            return replace(out, boundary_tie=True) if len(calls) == 2 else out
+
+        monkeypatch.setattr(solver_module, "retract_structured", tie_on_second)
+        prob, truth, _ = make_problem(60, 3, 0.35, seed=11)
+        result = solve(prob, config=SolverConfig(truth=truth, max_iters=4))
+        assert [rec.boundary_tie for rec in result.trace.records] == [False, True, False, False]
+
+
 class TestOneIterationOracle:
     """One ``solve`` iteration against a step built from the dense oracles."""
 
@@ -199,6 +240,14 @@ class TestStepSize:
                                        flag_eps=1.0 / 8.0)
             assert 0.5 * 0.5**-2 <= alpha <= 2.0 * 0.5**-2
             assert not flagged
+
+    def test_supplied_dU_changes_no_bit(self):
+        t, prob = self._tangent_instance(60, 3, 0.4, seed=16)
+        pairs = prob.data.pairs
+        dU = pairs.incidence @ t.base.U
+        for mode in ("normal", "debiased"):
+            assert (step_size(t, pairs, prob.p, mode, dU=dU)
+                    == step_size(t, pairs, prob.p, mode))
 
     def test_zero_tangent_rejected(self):
         prob, truth, _ = make_problem(15, 2, 0.9, seed=15)
