@@ -17,10 +17,10 @@ import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from . import dualbasis as db
 from .geometry import FactoredGram
-from .manifold import TangentVector, project_tangent, project_w_expansion
 from .sampling import PairSet, rng_from_seed
 
 #: multiply the reported nu by this to get the normalization used by the
@@ -293,6 +293,72 @@ def _coherence_gram_matvec(vcoef, Y, B):
     return np.einsum("ij,ij->i", Y, B @ (B.T @ (vcoef[:, None] * Y)))
 
 
+def tangent_phi(x: FactoredGram, pairs: PairSet):
+    """The tangent-coefficient map at ``x`` as one m-row CSR matrix ``Phi``.
+
+    A tangent vector ``U M U^T + Zu U^T + U Zu^T`` has the Euclidean
+    coordinates ``y = [M_kk, sqrt2 M_kl (k < l), sqrt2 vec Zu]``, in which
+    ``y . y'`` is :meth:`TangentVector.inner`; ``Phi y`` is then
+    ``<T, w_a> = du M du^T + 2 (dz . du)`` with du and dz the rows of ``BU``
+    and ``BZu``.  Row a holds ``du_k du_l`` (times sqrt2 off the diagonal) on
+    the M coordinates, ``+sqrt2 du`` on row i of Zu and ``-sqrt2 du`` on
+    row j: 2r + r(r+1)/2 entries, filled column by column into preallocated
+    arrays.  ``Phi.T`` is a view, so ``Phi.T @ g`` gives the coordinates of
+    ``sum_a g_a w_a`` projected onto the tangent space up to the Zu
+    components along ``[U, 1]`` (see :func:`_project_coords`).
+    """
+    U, B = x.U, pairs.incidence
+    n, r = U.shape
+    m = pairs.m
+    kk, ll = np.triu_indices(r)
+    nm = kk.size
+    width = nm + 2 * r
+    index = np.int32 if max(m * width, nm + n * r) < 2**31 else np.int64
+    data = np.empty((m, width))
+    indices = np.empty((m, width), dtype=index)
+    # the row i columns hold du itself until the M columns are formed
+    du = data[:, nm:nm + r]
+    for k in range(r):
+        du[:, k] = B @ U[:, k]
+    root2 = np.sqrt(2.0)
+    for c, (k, l) in enumerate(zip(kk, ll)):
+        np.multiply(du[:, k], du[:, l], out=data[:, c])
+        if k != l:
+            data[:, c] *= root2
+        indices[:, c] = c
+    for k in range(r):
+        np.multiply(du[:, k], -root2, out=data[:, nm + r + k])
+        du[:, k] *= root2
+        for col, ends in ((nm + k, pairs.ii), (nm + r + k, pairs.jj)):
+            np.multiply(ends, r, out=indices[:, col], casting="unsafe")
+            indices[:, col] += nm + k
+    indptr = np.arange(0, m * width + 1, width, dtype=index)
+    return csr_array((data.ravel(), indices.ravel(), indptr), shape=(m, nm + n * r))
+
+
+def _centring_basis(U):
+    """``[U, 1/sqrt(n)]``, the directions Zu must avoid; orthonormal for a
+    centred factor (``U^T 1 = 0``)."""
+    n = U.shape[0]
+    return np.column_stack([U, np.full(n, 1.0 / np.sqrt(n))])
+
+
+def _project_coords(y, q):
+    """Remove, in place, the Zu components of coordinates y along ``q``.
+
+    What is left has Zu orthogonal to U with centred columns: the
+    zero-row-sum part of the tangent space, on which the theorem's operator
+    norm is taken.  The removal runs twice, so that at p=1, where the
+    de-biased operator vanishes, no eps-sized residue along ``q`` survives
+    to be amplified by the normalisation.
+    """
+    n, r1 = q.shape
+    zu = y[y.size - n * (r1 - 1):].reshape(n, r1 - 1)
+    for _ in range(2):
+        zu -= q @ (q.T @ zu)
+    return y
+
+
 @dataclass(frozen=True)
 class RipEstimate:
     epsilon: float
@@ -306,55 +372,45 @@ def rip_estimate(x: FactoredGram, pairs: PairSet, p, seed=0,
     """Estimate ``p^-2 ||P_T M_O P_T - p^2 P_T||`` by power iteration.
 
     Iterates the self-adjoint de-biased operator restricted to the tangent
-    space at ``x`` (applications composed from the coefficient fast path
-    and the tangent projection).  Non-convergence within the cap returns
-    the current Rayleigh estimate flagged as approximate.
+    space at ``x`` in the coordinates of :func:`tangent_phi`: one step is
+    ``P(Phi^T m_omega(Phi y) - p^2 y)``, with P the removal of
+    :func:`_project_coords`.  The point is fixed, so ``Phi`` is built once
+    and each step costs two sparse products over its m (2r + r(r+1)/2)
+    entries plus O(n r) work.  The start is a seeded Gaussian in these
+    coordinates.  Non-convergence within the cap returns the current
+    Rayleigh estimate flagged as approximate.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
-    rng = rng_from_seed(seed)
-    n = x.n
-    start = rng.standard_normal((n, n))
-    start = start + start.T
-    start -= start.mean(axis=0, keepdims=True)
-    start -= start.mean(axis=1, keepdims=True)  # zero row/col sums
+    if x.n != pairs.n:
+        raise ValueError(f"the factored Gram has n={x.n} points but the pair set "
+                         f"has n={pairs.n}")
+    # the pair set's cached pattern, which every step uses, is built before
+    # Phi: built after it, the long-lived cache can sit above Phi's freed
+    # memory on the heap and keep it resident (7 MB more peak RSS, seen on
+    # the n=1002, p=0.2 diagnose benchmark)
+    pairs.upper_pattern
+    phi = tangent_phi(x, pairs)
+    q = _centring_basis(x.U)
 
-    def canonical(tv: TangentVector) -> TangentVector:
-        # enforce the unique representation: fold any U-component of Zu into
-        # the symmetric block (normalization makes roundoff there relevant),
-        # and keep Zu's columns centered so the iterate stays in the
-        # zero-row-sum space the theorem's operator norm is taken over (the
-        # tangent space also has a slice with nonzero row sums, on which
-        # every sampling operator vanishes trivially)
-        overlap = x.U.T @ tv.Zu
-        m = tv.M + overlap + overlap.T
-        m = 0.5 * (m + m.T)  # antisymmetric noise is invisible to the
-        # coefficient map and would otherwise be amplified as a -p^2 mode
-        zu = tv.Zu - x.U @ overlap
-        return TangentVector(x, m, zu - zu.mean(axis=0, keepdims=True))
+    def apply_op(y):
+        g = db.m_omega_coeffs(phi @ y, pairs, p)
+        return _project_coords(phi.T @ g - p**2 * y, q)
 
-    t = canonical(project_tangent(x, start))
-    dU = pairs.incidence @ x.U   # the point is fixed: one BU for every iteration
-
-    def apply_op(tv: TangentVector) -> TangentVector:
-        image = project_w_expansion(x, db.m_omega_coeffs(tv.w_coeffs(pairs, dU), pairs, p),
-                                    pairs)
-        return canonical(image.add(tv.scale(-p**2)))
-
-    norm = t.norm_fro()
+    t = _project_coords(rng_from_seed(seed).standard_normal(phi.shape[1]), q)
+    norm = np.linalg.norm(t)
     if norm == 0.0:
         return RipEstimate(0.0, 0.0, 0, True)
-    t = t.scale(1.0 / norm)
+    t /= norm
     rho = 0.0
     for it in range(1, max_iters + 1):
         image = apply_op(t)
-        rho = t.inner(image)
-        resid_vec = image.add(t.scale(-rho))
-        residual = resid_vec.norm_fro()
-        norm = image.norm_fro()
+        rho = float(t @ image)
+        residual = np.linalg.norm(image - rho * t)
+        norm = np.linalg.norm(image)
         if norm == 0.0:
             return RipEstimate(0.0, 0.0, it, True)
-        t = image.scale(1.0 / norm)
+        t = image / norm
         if residual <= tol * max(abs(rho), 1e-300):
             return RipEstimate(abs(rho) / p**2, float(residual), it, True)
     return RipEstimate(abs(rho) / p**2, float(residual), max_iters, False)

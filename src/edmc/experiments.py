@@ -63,6 +63,11 @@ class ExperimentConfig:
         if self.dataset.kind == "file" and self.dataset.n < 1:
             raise ValueError("a file dataset in a grid needs n, the file's point count: "
                              "the cells derive p from it")
+        if self.dataset.kind == "swiss_roll":
+            bad = [r for r in self.r_grid if r != 3]
+            if bad:
+                raise ValueError(f"swiss_roll is three dimensional, but the rank grid "
+                                 f"holds rank {bad[0]}; use r_grid=(3,)")
         thr = self.success_threshold
         if thr is not None and thr <= 0:
             raise ValueError("success threshold must be positive")
@@ -125,31 +130,32 @@ def run_trial(dataset: DatasetSpec, cell: GridCell, seed: int,
     always measured against the clean ground truth, so under point noise
     it is floored by the truth perturbation itself.  The truth is the
     clean d-dimensional cloud's exact factored Gram, so tracking it costs
-    O(n (r + d)^2) per iteration and needs no n-by-n array.  A solve that
-    raises a ``RuntimeError`` or ``ValueError`` is recorded as
-    ``degenerate`` with the exception's type and message instead of
-    aborting the grid.
+    O(n (r + d)^2) per iteration and needs no n-by-n array.  A trial whose
+    generation, sampling or solve raises a ``RuntimeError`` or
+    ``ValueError`` (a swiss roll asked for a rank other than 3, say) is
+    recorded as ``degenerate`` with the exception's type and message
+    instead of aborting the grid.
     """
     if dataset.kind == "file":
         points = generate(dataset)
         if points.shape[0] != dataset.n:
             raise ValueError(f"{dataset.path} holds {points.shape[0]} points "
                              f"but the dataset gives n={dataset.n}")
-    else:
-        points = generate(replace(dataset, seed=seed, r=cell.r))
-    truth = factored_gram_from_points(points)
-    observed_points = points
-    if cell.gamma is not None:
-        observed_points = perturb_points(
-            points, NoiseSpec(bound=10.0 ** cell.gamma, seed=seed + 1)
-        )
-        observed_points = observed_points - observed_points.mean(axis=0)
-    observed = gram_from_points(observed_points)
-    pairs = bernoulli_sample(points.shape[0], cell.p, seed)
-    data = observe(observed, pairs, p=cell.p, seed=seed)
-    problem = Problem(data, rank=cell.r)
-    config = replace(solver_config, truth=truth)
     try:
+        if dataset.kind != "file":
+            points = generate(replace(dataset, seed=seed, r=cell.r))
+        truth = factored_gram_from_points(points)
+        observed_points = points
+        if cell.gamma is not None:
+            observed_points = perturb_points(
+                points, NoiseSpec(bound=10.0 ** cell.gamma, seed=seed + 1)
+            )
+            observed_points = observed_points - observed_points.mean(axis=0)
+        observed = gram_from_points(observed_points)
+        pairs = bernoulli_sample(points.shape[0], cell.p, seed)
+        data = observe(observed, pairs, p=cell.p, seed=seed)
+        problem = Problem(data, rank=cell.r)
+        config = replace(solver_config, truth=truth)
         result: SolveResult = solve(problem, config=config)
         rec = result.trace.records[-1]
         rel = rec.rel_truth_error

@@ -117,19 +117,41 @@ class IterRecord:
 
 @dataclass
 class SolverTrace:
+    """Per-iteration records and how the run ended.
+
+    ``data_norm`` is ``||d||`` of the observed distances and
+    ``final_min_eig`` the smallest eigenvalue of the returned iterate; both
+    are set by :func:`solve`.
+    """
+
     records: list = field(default_factory=list)
     status: str = "running"
+    data_norm: float | None = None
+    final_min_eig: float | None = None
+
+    def summary(self):
+        """The terminal record.  Besides the status and the last record's
+        change and truth error it carries two health signals that need no
+        truth: ``final_rel_residual``, the last record's ``||c|| / ||d||``,
+        and ``final_min_eig``.  A converged run at a wrong point shows a
+        relative residual far above the change tolerance, or a negative
+        eigenvalue."""
+        summary = {"status": self.status, "iterations": len(self.records)}
+        if self.records:
+            last = self.records[-1]
+            summary["final_rel_change"] = last.rel_change
+            summary["final_rel_truth_error"] = last.rel_truth_error
+            summary["final_rel_residual"] = (last.residual_norm / self.data_norm
+                                             if self.data_norm else None)
+        summary["final_min_eig"] = self.final_min_eig
+        return summary
 
     def save_jsonl(self, path):
-        """One JSON record per iteration plus a terminal summary record."""
+        """One JSON record per iteration plus the terminal :meth:`summary`."""
         with open(path, "w") as fh:
             for rec in self.records:
                 fh.write(json.dumps(asdict(rec)) + "\n")
-            summary = {"status": self.status, "iterations": len(self.records)}
-            if self.records:
-                summary["final_rel_change"] = self.records[-1].rel_change
-                summary["final_rel_truth_error"] = self.records[-1].rel_truth_error
-            fh.write(json.dumps(summary) + "\n")
+            fh.write(json.dumps(self.summary()) + "\n")
 
 
 @dataclass
@@ -241,7 +263,7 @@ def solve(problem: Problem, x0: FactoredGram | None = None,
         raise ValueError(f"x0 has rank {x0.r}, problem wants {problem.rank}")
     pairs, d, p = problem.data.pairs, problem.data.values, problem.p
     mode = config.gradient_op
-    trace = SolverTrace()
+    trace = SolverTrace(data_norm=float(np.linalg.norm(d)))
     truth_err = _truth_error_fn(config.truth, problem.rank)
     err0 = truth_err(x0) if truth_err else None
 
@@ -256,8 +278,7 @@ def solve(problem: Problem, x0: FactoredGram | None = None,
             # stationary: the sampled residual is invisible to the tangent space
             trace.records.append(IterRecord(it, 0.0, residual_norm, 0.0,
                                             truth_err(current) if truth_err else None))
-            trace.status = "converged"
-            return SolveResult(current, trace)
+            return _finish(trace, "converged", current)
         try:
             alpha, flagged = step_size(tangent, pairs, p, mode, dU=dU)
             new = retract_structured(current, tangent, alpha)
@@ -273,14 +294,17 @@ def solve(problem: Problem, x0: FactoredGram | None = None,
         current = new
         stop_value = rel_change if config.change_tol_mode == "relative" else change
         if stop_value < config.change_tol:
-            trace.status = "converged"
-            return SolveResult(current, trace)
+            return _finish(trace, "converged", current)
         if rel_err is not None and err0 is not None and err0 > 0:
             if rel_err > config.divergence_factor * err0:
-                trace.status = "diverged"
-                return SolveResult(current, trace)
-    trace.status = "max_iters"
-    return SolveResult(current, trace)
+                return _finish(trace, "diverged", current)
+    return _finish(trace, "max_iters", current)
+
+
+def _finish(trace: SolverTrace, status, gram: FactoredGram) -> SolveResult:
+    trace.status = status
+    trace.final_min_eig = float(gram.eigs.min())
+    return SolveResult(gram, trace)
 
 
 def recover_points(gram: FactoredGram, neg_tol=1e-8):

@@ -12,9 +12,10 @@ from edmc.diagnostics import (ANALYSIS_NU_SCALE, coherence_gram_lambda_max,
                               cross_coherence, cross_term_max, cross_term_max_dense,
                               incoherence, rip_estimate, sum_pairwise_row_distances)
 from edmc.geometry import FactoredGram
+from edmc.manifold import TangentVector, project_tangent, project_w_expansion
 from edmc.sampling import PairSet, bernoulli_sample
 
-from conftest import random_factored_gram
+from conftest import random_centered_symmetric, random_factored_gram
 
 TRIANGLE_U = np.sqrt(2.0 / 3.0) * np.array(
     [[1.0, 0.0], [-0.5, np.sqrt(3) / 2], [-0.5, -np.sqrt(3) / 2]]
@@ -355,3 +356,61 @@ class TestRipEstimate:
         fg = random_factored_gram(6, 2, seed=15)
         with pytest.raises(ValueError):
             rip_estimate(fg, PairSet.full(6), p=0.0)
+
+    def test_size_mismatch_named(self):
+        fg = random_factored_gram(8, 2, seed=16)
+        with pytest.raises(ValueError, match=r"n=8.*n=9"):
+            rip_estimate(fg, PairSet.full(9), p=0.5)
+
+    def test_peak_memory_has_no_square_array(self):
+        # one 2000 x 2000 float64 array is 32 MB
+        n = 2000
+        fg = random_factored_gram(n, 3, seed=17)
+        pairs = bernoulli_sample(n, 0.01, seed=18)
+        tracemalloc.start()
+        try:
+            est = rip_estimate(fg, pairs, p=0.01, max_iters=20, tol=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
+        assert est.iterations == 20 and est.epsilon > 0.0
+
+
+def tangent_coords(tv: TangentVector):
+    """``[M_kk, sqrt2 M_kl (k < l), sqrt2 vec Zu]``, the coordinates of
+    :func:`edmc.diagnostics.tangent_phi`."""
+    kk, ll = np.triu_indices(tv.base.r)
+    scale = np.where(kk == ll, 1.0, np.sqrt(2.0))
+    return np.concatenate([tv.M[kk, ll] * scale, np.sqrt(2.0) * tv.Zu.ravel()])
+
+
+class TestTangentPhi:
+    @pytest.mark.parametrize("n,r,seed", [(30, 1, 0), (40, 3, 1), (25, 4, 2)])
+    def test_coordinates_keep_the_inner_product(self, n, r, seed):
+        fg = random_factored_gram(n, r, seed=seed)
+        a = project_tangent(fg, random_centered_symmetric(n, seed))
+        b = project_tangent(fg, random_centered_symmetric(n, seed + 100))
+        assert tangent_coords(a) @ tangent_coords(b) == pytest.approx(a.inner(b), rel=1e-12)
+
+    @pytest.mark.parametrize("n,r,p,seed", [(30, 1, 0.5, 0), (40, 3, 0.3, 1), (25, 4, 0.8, 2)])
+    def test_phi_gives_the_tangent_coefficients(self, n, r, p, seed):
+        fg = random_factored_gram(n, r, seed=seed)
+        pairs = bernoulli_sample(n, p, seed=seed + 10)
+        phi = diagnostics.tangent_phi(fg, pairs)
+        assert phi.shape == (pairs.m, r * (r + 1) // 2 + n * r)
+        assert phi.nnz == pairs.m * (2 * r + r * (r + 1) // 2)
+        tv = project_tangent(fg, random_centered_symmetric(n, seed))
+        ref = tv.w_coeffs(pairs)
+        assert np.linalg.norm(phi @ tangent_coords(tv) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n,r,p,seed", [(30, 1, 0.5, 0), (40, 3, 0.3, 1), (25, 4, 0.8, 2)])
+    def test_adjoint_is_the_projected_expansion(self, n, r, p, seed):
+        fg = random_factored_gram(n, r, seed=seed)
+        pairs = bernoulli_sample(n, p, seed=seed + 10)
+        g = np.random.default_rng(seed).standard_normal(pairs.m)
+        phi = diagnostics.tangent_phi(fg, pairs)
+        got = diagnostics._project_coords(phi.T @ g, diagnostics._centring_basis(fg.U))
+        tv = project_w_expansion(fg, g, pairs)
+        ref = tangent_coords(TangentVector(fg, tv.M, tv.Zu - tv.Zu.mean(axis=0)))
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)

@@ -89,6 +89,19 @@ class TestTrialFailures:
             "converged": 4, "max_iters": 0, "diverged": 0, "degenerate": 1}
         assert [s for s in GRID_CSV_COLUMNS if s in TRIAL_STATUSES] == list(TRIAL_STATUSES)
 
+    def test_generator_that_rejects_the_cell_is_recorded(self):
+        res = run_cell(DatasetSpec("swiss_roll", n=30, r=3), GridCell(r=2, p=0.8, rho=1.0),
+                       0, 2, SolverConfig())
+        assert [t.status for t in res.trials] == ["degenerate"] * 2
+        assert all(t.error.startswith("ValueError: swiss_roll") for t in res.trials)
+
+    def test_swiss_roll_grid_needs_rank_3(self):
+        with pytest.raises(ValueError, match="rank 2"):
+            ExperimentConfig(dataset=DatasetSpec("swiss_roll", n=30, r=3),
+                             r_grid=(3, 2), rho_grid=(RHO,))
+        ExperimentConfig(dataset=DatasetSpec("swiss_roll", n=30, r=3),
+                         r_grid=(3,), rho_grid=(RHO,))
+
 
 class TestFileDatasets:
     def test_grid_runs_on_the_file(self, tmp_path):

@@ -8,8 +8,8 @@ from edmc import solver as solver_module
 from edmc.geometry import FactoredGram, gram_from_points, truncated_gram
 from edmc.dualbasis import m_omega_dense, rstar_r_dense
 from edmc.manifold import hard_threshold, project_tangent
-from edmc.sampling import PairSet, bernoulli_sample, observe
-from edmc.solver import (DegenerateInitError, DegenerateStepError, Problem,
+from edmc.sampling import PairSet, bernoulli_sample, observe, probability_for_ratio
+from edmc.solver import (DegenerateInitError, DegenerateStepError, IterRecord, Problem,
                          SolverConfig, init_one_step, recover_points, solve,
                          step_size)
 from edmc.synthdata import DatasetSpec, generate
@@ -292,6 +292,39 @@ class TestRecoverPoints:
         with pytest.warns(RuntimeWarning):
             pts = recover_points(bad)
         assert np.all(pts[:, 1] == 0.0)
+
+
+class TestHealthSignals:
+    @staticmethod
+    def _trial(seed, n=100, r=3, rho=5.0):
+        # built as experiments.run_trial builds a noiseless sphere trial
+        p = probability_for_ratio(n, r, rho)
+        points = generate(DatasetSpec("sphere_surface", n=n, r=r, seed=seed))
+        data = observe(gram_from_points(points), bernoulli_sample(n, p, seed), p=p, seed=seed)
+        return solve(Problem(data, rank=r))
+
+    def test_wrong_point_shows_without_truth(self, tmp_path):
+        # seed 274 ends "converged" at relative Gram error 0.50
+        result = self._trial(274)
+        summary = result.trace.summary()
+        assert summary["status"] == "converged"
+        assert summary["final_rel_residual"] > 0.1
+        assert summary["final_min_eig"] < 0.0
+        assert summary["final_min_eig"] == result.gram.eigs.min()
+        path = tmp_path / "trace.jsonl"
+        result.trace.save_jsonl(path)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert lines[-1] == summary
+        assert all(set(line) == set(IterRecord.__dataclass_fields__) for line in lines[:-1])
+
+    def test_recovered_point_is_healthy(self):
+        result = self._trial(275)
+        summary = result.trace.summary()
+        last = result.trace.records[-1]
+        d = result.trace.data_norm
+        assert summary["status"] == "converged"
+        assert summary["final_rel_residual"] == last.residual_norm / d < 1e-3
+        assert summary["final_min_eig"] > 0.0 and np.all(result.gram.eigs > 0.0)
 
 
 @pytest.mark.slow
