@@ -12,8 +12,8 @@ from .geometry import (FactoredGram, NotEmbeddableError, center_points,
 from .sampling import (NoiseSpec, PairSet, SampledDistances, bernoulli_sample,
                        observe, oversampling_ratio, perturb_points,
                        probability_for_ratio)
-from .manifold import RankCollapseError, TangentVector, hard_threshold, \
-    project_tangent, retract_structured
+from .manifold import (RankCollapseError, TangentVector, project_tangent,
+                       retract_structured)
 from .solver import (DegenerateInitError, DegenerateStepError, Problem,
                      SolveResult, SolverConfig, SolverTrace, init_one_step,
                      recover_points, solve, step_size)
@@ -28,8 +28,7 @@ __all__ = [
     "procrustes_error", "read_points_csv", "write_points_csv",
     "NoiseSpec", "PairSet", "SampledDistances", "bernoulli_sample", "observe",
     "oversampling_ratio", "perturb_points", "probability_for_ratio",
-    "RankCollapseError", "TangentVector", "hard_threshold", "project_tangent",
-    "retract_structured",
+    "RankCollapseError", "TangentVector", "project_tangent", "retract_structured",
     "DegenerateInitError", "DegenerateStepError", "Problem", "SolveResult",
     "SolverConfig", "SolverTrace", "init_one_step", "recover_points", "solve",
     "step_size",

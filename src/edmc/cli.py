@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -116,12 +117,7 @@ def cmd_solve(args):
     points = recover_points(result.gram)
     if args.out_points:
         write_points_csv(args.out_points, points, meta=meta)
-    summary = {
-        "_meta": meta,
-        "status": result.trace.status,
-        "iterations": len(result.trace.records),
-        "final_rel_change": result.trace.records[-1].rel_change,
-    }
+    summary = {"_meta": meta, **result.trace.summary()}
     if truth is not None:
         summary["rel_gram_error"] = result.trace.records[-1].rel_truth_error
         summary["procrustes_error"] = procrustes_error(truth_points, points)
@@ -156,23 +152,37 @@ def cmd_diagnose(args):
     return 0
 
 
+def _config_section(cls, raw, section, exclude=()):
+    """``raw`` checked key by key against the fields of ``cls``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{section} of a grid config must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in exclude}
+    for key in raw:
+        if key not in fields:
+            raise ValueError(f"unknown key {key!r} in {section} of the grid config; "
+                             f"expected one of {sorted(fields)}")
+    for name, f in fields.items():
+        if (name not in raw and f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING):
+            raise ValueError(f"{section} of the grid config needs {name!r}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
+
+
 def _experiment_config_from_json(path, overrides):
+    """An :class:`ExperimentConfig` from a JSON file whose top level, ``dataset``
+    and ``solver`` objects name the fields of :class:`ExperimentConfig`,
+    :class:`DatasetSpec` and :class:`SolverConfig`; any other key is a
+    ``ValueError``.  Non-null ``overrides`` replace top-level keys."""
     raw = json.loads(Path(path).read_text())
-    raw.update({k: v for k, v in overrides.items() if v is not None})
-    dataset = DatasetSpec(**raw["dataset"])
-    solver = SolverConfig(**raw.get("solver", {}))
-    return ExperimentConfig(
-        dataset=dataset,
-        r_grid=tuple(raw["r_grid"]),
-        rho_grid=tuple(raw.get("rho_grid", ())),
-        p_grid=tuple(raw.get("p_grid", ())),
-        gamma_grid=tuple(raw.get("gamma_grid", [None])),
-        trials=raw.get("trials", 20),
-        seed=raw.get("seed", 0),
-        success_threshold=raw.get("success_threshold"),
-        solver=solver,
-        workers=raw.get("workers", 1),
-    ), raw
+    if isinstance(raw, dict):
+        raw.update({k: v for k, v in overrides.items() if v is not None})
+    top = _config_section(ExperimentConfig, raw, "the top level")
+    top["dataset"] = DatasetSpec(**_config_section(DatasetSpec, top["dataset"], "dataset"))
+    if "solver" in top:
+        # the truth is each trial's own cloud
+        top["solver"] = SolverConfig(**_config_section(SolverConfig, top["solver"], "solver",
+                                                       exclude=("truth",)))
+    return ExperimentConfig(**top), raw
 
 
 def write_grid_csv(path, rows, meta):

@@ -49,7 +49,6 @@ class ExperimentConfig:
     gamma_grid: tuple = (None,)
     trials: int = 20
     seed: int = 0
-    success_threshold: float | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     workers: int = 1
 
@@ -68,13 +67,10 @@ class ExperimentConfig:
             if bad:
                 raise ValueError(f"swiss_roll is three dimensional, but the rank grid "
                                  f"holds rank {bad[0]}; use r_grid=(3,)")
-        thr = self.success_threshold
-        if thr is not None and thr <= 0:
-            raise ValueError("success threshold must be positive")
 
     def threshold(self):
-        if self.success_threshold is not None:
-            return self.success_threshold
+        """The success threshold on the relative error: 1e-2 when any cell
+        perturbs the points, 1e-3 otherwise."""
         noisy = any(g is not None for g in self.gamma_grid)
         return DEFAULT_NOISE_THRESHOLD if noisy else DEFAULT_NOISELESS_THRESHOLD
 

@@ -236,8 +236,8 @@ def classical_mds(d, r, neg_tol=1e-8):
     """
     b = gram_from_distances(d)
     eigvals, eigvecs = np.linalg.eigh(b)
-    order = magnitude_order(eigvals)[:r]
-    lam = eigvals[order]
+    kept = select_rank(eigvals, eigvecs, r)
+    lam = kept.eigs
     scale = np.abs(eigvals).max() if eigvals.size else 0.0
     if np.any(lam < -neg_tol * max(scale, 1e-300)):
         raise NotEmbeddableError(
@@ -245,7 +245,7 @@ def classical_mds(d, r, neg_tol=1e-8):
             f"tolerance {neg_tol * scale:g}; no rank-{r} embedding exists"
         )
     lam = np.clip(lam, 0.0, None)
-    return eigvecs[:, order] * np.sqrt(lam)
+    return kept.U * np.sqrt(lam)
 
 
 def procrustes_error(a, b):

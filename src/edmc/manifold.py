@@ -1,5 +1,5 @@
 """Fixed-rank manifold primitives: tangent-space projection at a factored
-iterate and the rank-r hard-thresholding retraction.
+iterate and the structured rank-r retraction.
 
 The tangent space at ``X = U diag(eigs) U^T`` is
 ``{U Z^T + Z U^T : Z in R^{n x r}}``; the orthogonal projection of a
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dualbasis as db
-from .geometry import FactoredGram, magnitude_order, select_rank
+from .geometry import FactoredGram, select_rank
 from .sampling import PairSet
 
 
@@ -95,20 +95,8 @@ def project_w_expansion(base: FactoredGram, g, pairs: PairSet) -> TangentVector:
     return _split(base, db.w_expand_matvec(g, pairs, base.U))
 
 
-def hard_threshold(y, r) -> FactoredGram:
-    """Best rank-r approximation by eigenvalue magnitude (dense path).
-
-    Eigenvalues are kept by magnitude, negative ones included; a tie at the
-    rank boundary or a numerically deficient selection is flagged on the
-    result rather than raised.
-    """
-    y = np.asarray(y, dtype=float)
-    eigvals, eigvecs = np.linalg.eigh(y)
-    return select_rank(eigvals, eigvecs, r)
-
-
 def retract_structured(base: FactoredGram, t: TangentVector, step) -> FactoredGram:
-    """``hard_threshold(base + step * t, r)`` via a thin QR and a 2r core.
+    """``truncated_gram(base + step * t, r)`` via a thin QR and a 2r core.
 
     The sum lives in span([U | Zu]); a QR of Zu reduces the retraction to
     the eigendecomposition of a 2r-by-2r symmetric core, keeping the update
@@ -127,15 +115,13 @@ def retract_structured(base: FactoredGram, t: TangentVector, step) -> FactoredGr
     core[:r, r:] = step * r2.T
     core[r:, :r] = step * r2
     eigvals, eigvecs = np.linalg.eigh(core)
-    order = magnitude_order(eigvals)[:r]
-    lam = eigvals[order]
+    kept = select_rank(eigvals, eigvecs, r)
+    lam = kept.eigs
     scale = np.abs(eigvals).max()
     if scale == 0.0 or np.abs(lam[-1]) <= 1e-14 * scale:
         raise RankCollapseError(
             f"retraction core kept only {int(np.sum(np.abs(lam) > 1e-14 * scale))} "
             f"of {r} eigenvalues; the iterate degenerated"
         )
-    vecs = np.hstack([U, q2]) @ eigvecs[:, order]
-    rest = np.delete(np.abs(eigvals), order)
-    tie = bool(rest.size and np.abs(np.abs(lam[-1]) - rest.max()) <= 1e-12 * scale)
-    return FactoredGram(vecs, lam, boundary_tie=tie)
+    vecs = np.hstack([U, q2]) @ kept.U
+    return FactoredGram(vecs, lam, boundary_tie=kept.boundary_tie)

@@ -48,6 +48,10 @@ class DegenerateStepError(RuntimeError):
 
 GRADIENT_OPS = ("normal", "debiased")
 
+#: a run with a truth stops as ``diverged`` once its error exceeds this
+#: multiple of the starting error
+DIVERGENCE_FACTOR = 1e3
+
 
 @dataclass(frozen=True)
 class Problem:
@@ -86,7 +90,6 @@ class SolverConfig:
     change_tol: float = 1e-5
     change_tol_mode: str = "relative"
     gradient_op: str = "normal"
-    divergence_factor: float = 1e3
     truth: object = None  # optional ground-truth Gram (dense or FactoredGram)
 
     def __post_init__(self):
@@ -296,7 +299,7 @@ def solve(problem: Problem, x0: FactoredGram | None = None,
         if stop_value < config.change_tol:
             return _finish(trace, "converged", current)
         if rel_err is not None and err0 is not None and err0 > 0:
-            if rel_err > config.divergence_factor * err0:
+            if rel_err > DIVERGENCE_FACTOR * err0:
                 return _finish(trace, "diverged", current)
     return _finish(trace, "max_iters", current)
 

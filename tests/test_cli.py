@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from edmc import geometry
-from edmc.cli import main
+from edmc.cli import _experiment_config_from_json, main
 from edmc.diagnostics import incoherence
 from edmc.geometry import gram_from_points, truncated_gram, write_points_csv
 from edmc.synthdata import DatasetSpec, generate
@@ -67,6 +68,18 @@ class TestPipeline:
                         "--r", "3", "--out", str(coh)]) == 0
         report = json.loads(coh.read_text())
         assert report["nu"] <= report["upper_bound"]
+
+    def test_solve_reports_health_without_truth(self, pipeline_dir, capsys):
+        summary = pipeline_dir / "summary.json"
+        assert run_cli(["solve", "--data", str(pipeline_dir / "dist.csv"), "--r", "3",
+                        "--summary", str(summary)]) == 0
+        printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        payload = json.loads(summary.read_text())
+        assert printed == payload
+        assert payload["status"] == "converged"
+        assert 0.0 < payload["final_rel_residual"] < 1e-3
+        assert payload["final_min_eig"] > 0.0
+        assert "_meta" in payload and "rel_gram_error" not in payload
 
     def test_solve_full_sampling_trivial(self, tmp_path):
         points = tmp_path / "p.csv"
@@ -248,6 +261,63 @@ class TestGrid:
         rows = [line for line in out.read_text().splitlines()[2:] if line]
         assert len(rows) == 1
         assert rows[0].split(",")[3] == "-2.0"
+
+
+class TestGridConfigKeys:
+    @pytest.mark.parametrize("section,patch,key", [
+        ("the top level", {"trails": 1}, "trails"),
+        ("dataset", {"dataset": {**GRID_CONFIG["dataset"], "size": 40}}, "size"),
+        ("solver", {"solver": {"tol": 1e-6}}, "tol"),
+    ])
+    def test_unknown_key_names_key_and_section(self, tmp_path, capsys, section, patch, key):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({**GRID_CONFIG, **patch}))
+        out = tmp_path / "grid.csv"
+        assert run_cli(["grid", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ValueError"
+        assert repr(key) in err["error"] and f"in {section} of" in err["error"]
+
+    def test_missing_required_key_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({k: v for k, v in GRID_CONFIG.items() if k != "r_grid"}))
+        assert run_cli(["grid", "--config", str(cfg), "--out", str(tmp_path / "g.csv")]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "'r_grid'" in err["error"]
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+#: the defaults of the experiment scripts these configs replace:
+#: (cells, trials, success threshold)
+CONFIG_DEFAULTS = {
+    "recovery_sphere.json": (6, 5, 1e-3),
+    "recovery_swiss_roll.json": (6, 5, 1e-3),
+    "transition.json": (81, 20, 1e-3),
+    "noise.json": (25, 100, 1e-2),
+}
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("name", sorted(set(CONFIG_DEFAULTS)
+                                            | {p.name for p in CONFIG_DIR.glob("*.json")}))
+    def test_config_loads(self, name):
+        config, _ = _experiment_config_from_json(CONFIG_DIR / name, {})
+        assert config.cells()
+        if name in CONFIG_DEFAULTS:
+            assert (len(config.cells()), config.trials, config.threshold()) == \
+                CONFIG_DEFAULTS[name]
+            assert (config.seed, config.workers) == (0, 1)
+
+    def test_recovery_configs_use_the_paper_solver(self):
+        for name, kind, n in [("recovery_sphere.json", "sphere_surface", 1002),
+                              ("recovery_swiss_roll.json", "swiss_roll", 2048)]:
+            config, _ = _experiment_config_from_json(CONFIG_DIR / name, {})
+            assert (config.dataset.kind, config.dataset.n) == (kind, n)
+            assert (config.solver.change_tol, config.solver.change_tol_mode) == \
+                (1e-5, "absolute")
+            assert [c.p for c in config.cells()] == [0.10, 0.07, 0.05, 0.03, 0.02, 0.01]
 
 
 class TestGridFailureHandling:

@@ -11,7 +11,8 @@ from edmc.geometry import (FactoredGram, NotEmbeddableError, center_points,
                            write_points_csv)
 from edmc.synthdata import DatasetSpec, generate
 
-from conftest import centered_orthonormal, random_centered_gram
+from conftest import (centered_orthonormal, random_centered_gram,
+                      random_centered_symmetric, random_factored_gram)
 
 TRIANGLE_U = np.sqrt(2.0 / 3.0) * np.array(
     [[1.0, 0.0], [-0.5, np.sqrt(3) / 2], [-0.5, -np.sqrt(3) / 2]]
@@ -223,6 +224,48 @@ class TestFactoredGram:
         assert gram_inner(a, b.matrix()) == pytest.approx(dense_inner, rel=1e-12)
         dense_err = np.linalg.norm(a.matrix() - b.matrix())
         assert gram_frobenius_error(a, b) == pytest.approx(dense_err, rel=1e-10)
+
+
+class TestTruncatedGram:
+    def test_fixed_point_on_rank_r(self):
+        fg = random_factored_gram(8, 3, seed=1)
+        out = truncated_gram(fg.matrix(), 3)
+        assert np.abs(out.matrix() - fg.matrix()).max() <= 1e-12
+
+    def test_diagonal_example(self):
+        out = truncated_gram(np.diag([3.0, 1.0, 0.0]), 1)
+        assert np.allclose(out.matrix(), np.diag([3.0, 0.0, 0.0]), atol=1e-14)
+
+    def test_magnitude_keeps_negative(self):
+        y = np.diag([3.0, -2.0, 1.0])
+        out = truncated_gram(y, 2)
+        assert np.allclose(out.matrix(), np.diag([3.0, -2.0, 0.0]), atol=1e-14)
+        # enumerate every rank-2 eigenvalue truncation: the magnitude rule wins
+        vals = [3.0, -2.0, 1.0]
+        errors = []
+        for drop in range(3):
+            kept = [0.0 if k == drop else v for k, v in enumerate(vals)]
+            errors.append(np.linalg.norm(y - np.diag(kept)))
+        assert np.linalg.norm(y - out.matrix()) == pytest.approx(min(errors), abs=1e-14)
+
+    def test_eckart_young_against_random_competitors(self):
+        rng = np.random.default_rng(5)
+        y = random_centered_symmetric(8, seed=6)
+        best = truncated_gram(y, 3)
+        err = np.linalg.norm(y - best.matrix())
+        for k in range(100):
+            z = random_factored_gram(8, 3, seed=100 + k, psd=False)
+            assert err <= np.linalg.norm(y - z.matrix()) + 1e-12
+
+    def test_boundary_tie_flagged(self):
+        out = truncated_gram(np.diag([2.0, -2.0, 0.5]), 1)
+        assert out.boundary_tie
+        # deterministic resolution: signed descending wins the tie
+        assert out.eigs[0] == pytest.approx(2.0)
+
+    def test_rank_deficient_flagged(self):
+        out = truncated_gram(np.diag([1.0, 0.0, 0.0]), 2)
+        assert out.rank_deficient
 
 
 class TestPointsCsv:

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edmc.dualbasis import w_coeffs, w_expand
-from edmc.manifold import (RankCollapseError, TangentVector, hard_threshold,
-                           project_tangent, project_w_expansion, retract_structured)
+from edmc.geometry import truncated_gram
+from edmc.manifold import (RankCollapseError, TangentVector, project_tangent,
+                           project_w_expansion, retract_structured)
 from edmc.sampling import bernoulli_sample
 
 from conftest import random_centered_symmetric, random_factored_gram
@@ -85,48 +86,6 @@ class TestProjectTangent:
         assert np.abs(got - expect).max() <= 1e-11 * max(1, np.abs(expect).max())
 
 
-class TestHardThreshold:
-    def test_fixed_point_on_rank_r(self):
-        fg = random_factored_gram(8, 3, seed=1)
-        out = hard_threshold(fg.matrix(), 3)
-        assert np.abs(out.matrix() - fg.matrix()).max() <= 1e-12
-
-    def test_diagonal_example(self):
-        out = hard_threshold(np.diag([3.0, 1.0, 0.0]), 1)
-        assert np.allclose(out.matrix(), np.diag([3.0, 0.0, 0.0]), atol=1e-14)
-
-    def test_magnitude_keeps_negative(self):
-        y = np.diag([3.0, -2.0, 1.0])
-        out = hard_threshold(y, 2)
-        assert np.allclose(out.matrix(), np.diag([3.0, -2.0, 0.0]), atol=1e-14)
-        # enumerate every rank-2 eigenvalue truncation: the magnitude rule wins
-        vals = [3.0, -2.0, 1.0]
-        errors = []
-        for drop in range(3):
-            kept = [0.0 if k == drop else v for k, v in enumerate(vals)]
-            errors.append(np.linalg.norm(y - np.diag(kept)))
-        assert np.linalg.norm(y - out.matrix()) == pytest.approx(min(errors), abs=1e-14)
-
-    def test_eckart_young_against_random_competitors(self):
-        rng = np.random.default_rng(5)
-        y = random_centered_symmetric(8, seed=6)
-        best = hard_threshold(y, 3)
-        err = np.linalg.norm(y - best.matrix())
-        for k in range(100):
-            z = random_factored_gram(8, 3, seed=100 + k, psd=False)
-            assert err <= np.linalg.norm(y - z.matrix()) + 1e-12
-
-    def test_boundary_tie_flagged(self):
-        out = hard_threshold(np.diag([2.0, -2.0, 0.5]), 1)
-        assert out.boundary_tie
-        # deterministic resolution: signed descending wins the tie
-        assert out.eigs[0] == pytest.approx(2.0)
-
-    def test_rank_deficient_flagged(self):
-        out = hard_threshold(np.diag([1.0, 0.0, 0.0]), 2)
-        assert out.rank_deficient
-
-
 class TestRetractStructured:
     def _tangent(self, fg, seed):
         y = random_centered_symmetric(fg.n, seed=seed)
@@ -148,7 +107,7 @@ class TestRetractStructured:
         t = self._tangent(fg, seed + 50)
         step = 0.7
         out = retract_structured(fg, t, step)
-        dense = hard_threshold(fg.matrix() + step * t.matrix(), r)
+        dense = truncated_gram(fg.matrix() + step * t.matrix(), r)
         scale = np.abs(dense.matrix()).max()
         assert np.abs(out.matrix() - dense.matrix()).max() <= 1e-9 * scale
 

@@ -7,7 +7,7 @@ import pytest
 from edmc import solver as solver_module
 from edmc.geometry import FactoredGram, gram_from_points, truncated_gram
 from edmc.dualbasis import m_omega_dense, rstar_r_dense
-from edmc.manifold import hard_threshold, project_tangent
+from edmc.manifold import project_tangent
 from edmc.sampling import PairSet, bernoulli_sample, observe, probability_for_ratio
 from edmc.solver import (DegenerateInitError, DegenerateStepError, IterRecord, Problem,
                          SolverConfig, init_one_step, recover_points, solve,
@@ -206,7 +206,7 @@ class TestOneIterationOracle:
         x = x0.matrix()
         t = project_tangent(x0, dense_op(truth - x)).matrix()
         alpha = np.sum(t * t) / np.sum(t * dense_op(t))
-        expected = hard_threshold(x + alpha * t, r).matrix()
+        expected = truncated_gram(x + alpha * t, r).matrix()
         (rec,) = result.trace.records
         assert rec.step_size == pytest.approx(alpha, rel=1e-10)
         assert np.abs(result.gram.matrix() - expected).max() <= 1e-10 * np.abs(expected).max()
