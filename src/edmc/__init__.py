@@ -10,8 +10,8 @@ from .geometry import (FactoredGram, NotEmbeddableError, center_points,
                        gram_from_points, procrustes_error, read_points_csv,
                        write_points_csv)
 from .sampling import (NoiseSpec, PairSet, SampledDistances, bernoulli_sample,
-                       observe, oversampling_ratio, perturb_points,
-                       probability_for_ratio)
+                       observe, observe_points, oversampling_ratio,
+                       perturb_points, probability_for_ratio)
 from .manifold import (RankCollapseError, TangentVector, project_tangent,
                        retract_structured)
 from .solver import (DegenerateInitError, DegenerateStepError, Problem,
@@ -27,7 +27,7 @@ __all__ = [
     "distances_from_gram", "gram_from_distances", "gram_from_points",
     "procrustes_error", "read_points_csv", "write_points_csv",
     "NoiseSpec", "PairSet", "SampledDistances", "bernoulli_sample", "observe",
-    "oversampling_ratio", "perturb_points", "probability_for_ratio",
+    "observe_points", "oversampling_ratio", "perturb_points", "probability_for_ratio",
     "RankCollapseError", "TangentVector", "project_tangent", "retract_structured",
     "DegenerateInitError", "DegenerateStepError", "Problem", "SolveResult",
     "SolverConfig", "SolverTrace", "init_one_step", "recover_points", "solve",

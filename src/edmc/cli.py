@@ -21,9 +21,9 @@ import numpy as np
 from . import __version__
 from .diagnostics import incoherence
 from .experiments import (ExperimentConfig, GRID_CSV_COLUMNS, grid_rows, run_grid)
-from .geometry import (FactoredGram, factored_gram_from_points, gram_from_points,
-                       procrustes_error, read_points_csv, write_points_csv)
-from .sampling import SampledDistances, bernoulli_sample, observe
+from .geometry import (FactoredGram, factored_gram_from_points, procrustes_error,
+                       read_points_csv, write_points_csv)
+from .sampling import SampledDistances, bernoulli_sample, observe_points
 from .solver import (Problem, SolverConfig, init_one_step, recover_points, solve)
 from .synthdata import DatasetSpec, generate
 
@@ -76,9 +76,8 @@ def cmd_generate(args):
 def cmd_sample(args):
     points = read_points_csv(args.points)
     points = points - points.mean(axis=0)
-    truth = gram_from_points(points)
     pairs = bernoulli_sample(points.shape[0], args.p, args.seed)
-    data = observe(truth, pairs, p=args.p, seed=args.seed)
+    data = observe_points(points, pairs, p=args.p, seed=args.seed)
     data.save(args.out)
     return 0
 
@@ -152,8 +151,38 @@ def cmd_diagnose(args):
     return 0
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+#: what a grid config value must be, by the annotation of its field:
+#: (description, test of one JSON value)
+_VALUE_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", _is_number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "DatasetSpec": ("a JSON object", lambda v: isinstance(v, dict)),
+    "SolverConfig": ("a JSON object", lambda v: isinstance(v, dict)),
+}
+
+#: the grids of ExperimentConfig: (description, test of one list entry)
+_GRID_TYPES = {
+    "r_grid": ("a list of integers", _is_int),
+    "rho_grid": ("a list of numbers", _is_number),
+    "p_grid": ("a list of numbers", _is_number),
+    "gamma_grid": ("a list of numbers or nulls", lambda v: v is None or _is_number(v)),
+}
+
+
 def _config_section(cls, raw, section, exclude=()):
-    """``raw`` checked key by key against the fields of ``cls``."""
+    """``raw`` checked key by key against the fields of ``cls``: every key
+    must name a field, every field without a default must be given, and
+    every value must have its field's type."""
     if not isinstance(raw, dict):
         raise ValueError(f"{section} of a grid config must be a JSON object")
     fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in exclude}
@@ -165,6 +194,16 @@ def _config_section(cls, raw, section, exclude=()):
         if (name not in raw and f.default is dataclasses.MISSING
                 and f.default_factory is dataclasses.MISSING):
             raise ValueError(f"{section} of the grid config needs {name!r}")
+    for key, value in raw.items():
+        if key in _GRID_TYPES:
+            expected, entry_ok = _GRID_TYPES[key]
+            ok = isinstance(value, list) and all(entry_ok(v) for v in value)
+        else:
+            expected, value_ok = _VALUE_TYPES[fields[key].type]
+            ok = value_ok(value)
+        if not ok:
+            raise ValueError(f"{key!r} in {section} of the grid config must be "
+                             f"{expected}, not {json.dumps(value)}")
     return {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
 
 

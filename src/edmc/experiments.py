@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import factored_gram_from_points, gram_from_points
-from .sampling import (NoiseSpec, bernoulli_sample, observe, oversampling_ratio,
+from .geometry import factored_gram_from_points
+from .sampling import (NoiseSpec, bernoulli_sample, observe_points, oversampling_ratio,
                        perturb_points, probability_for_ratio)
 from .solver import Problem, SolveResult, SolverConfig, solve
 from .synthdata import DatasetSpec, generate
@@ -126,7 +126,9 @@ def run_trial(dataset: DatasetSpec, cell: GridCell, seed: int,
     always measured against the clean ground truth, so under point noise
     it is floored by the truth perturbation itself.  The truth is the
     clean d-dimensional cloud's exact factored Gram, so tracking it costs
-    O(n (r + d)^2) per iteration and needs no n-by-n array.  A trial whose
+    O(n (r + d)^2) per iteration and needs no n-by-n array; the sampled
+    distances are observed from the points in row blocks of the Gram
+    (:func:`~edmc.sampling.observe_points`), so no step holds one.  A trial whose
     generation, sampling or solve raises a ``RuntimeError`` or
     ``ValueError`` (a swiss roll asked for a rank other than 3, say) is
     recorded as ``degenerate`` with the exception's type and message
@@ -147,9 +149,8 @@ def run_trial(dataset: DatasetSpec, cell: GridCell, seed: int,
                 points, NoiseSpec(bound=10.0 ** cell.gamma, seed=seed + 1)
             )
             observed_points = observed_points - observed_points.mean(axis=0)
-        observed = gram_from_points(observed_points)
         pairs = bernoulli_sample(points.shape[0], cell.p, seed)
-        data = observe(observed, pairs, p=cell.p, seed=seed)
+        data = observe_points(observed_points, pairs, p=cell.p, seed=seed)
         problem = Problem(data, rank=cell.r)
         config = replace(solver_config, truth=truth)
         result: SolveResult = solve(problem, config=config)

@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse import csr_array
 
+from .geometry import _centered_points
+
 
 def rng_from_seed(seed):
     """Seeded PCG64 generator; SeedSequence makes per-stream spawning cheap."""
@@ -200,6 +202,39 @@ def observe(x_true, pairs: PairSet, p=None, seed=None):
         raise ValueError("gram matrix size does not match pair set")
     ii, jj = pairs.ii, pairs.jj
     values = x[ii, ii] + x[jj, jj] - 2.0 * x[ii, jj]
+    return SampledDistances(pairs, values, p=p, seed=seed)
+
+
+#: float64 Gram entries in one row block of :func:`observe_points` (2 MB)
+OBSERVE_BLOCK = 1 << 18
+
+
+def observe_points(points, pairs: PairSet, p=None, seed=None):
+    """``observe(gram_from_points(points), pairs, p, seed)`` holding one row
+    block of the Gram at a time instead of all n x n entries.
+
+    Each block ``P[s:e] @ P.T`` is the same BLAS product against all
+    columns, so the Gram entries, and with them the values, are those of the
+    full product: bitwise when one block holds every row, otherwise up to
+    the kernel's last-bit differences between block shapes.  The pairs with
+    ``i`` in ``[s, e)`` are contiguous because the pairs are sorted.
+    """
+    points = _centered_points(points)
+    n = points.shape[0]
+    if n != pairs.n:
+        raise ValueError(f"the cloud holds {n} points but the pair set has n={pairs.n}")
+    ii, jj = pairs.ii, pairs.jj
+    indptr = pairs.upper_pattern[0]
+    g_diag = np.empty(n)
+    g_pair = np.empty(pairs.m)
+    step = max(1, OBSERVE_BLOCK // max(n, 1))
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        g = points[s:e] @ points.T
+        g_diag[s:e] = g[np.arange(e - s), np.arange(s, e)]
+        a, b = indptr[s], indptr[e]
+        g_pair[a:b] = g[ii[a:b] - s, jj[a:b]]
+    values = g_diag[ii] + g_diag[jj] - 2.0 * g_pair
     return SampledDistances(pairs, values, p=p, seed=seed)
 
 

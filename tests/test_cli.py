@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,9 +8,13 @@ import numpy as np
 import pytest
 
 from edmc import geometry
-from edmc.cli import _experiment_config_from_json, main
+from edmc.cli import _GRID_TYPES, _VALUE_TYPES, _experiment_config_from_json, main
 from edmc.diagnostics import incoherence
-from edmc.geometry import gram_from_points, truncated_gram, write_points_csv
+from edmc.experiments import ExperimentConfig
+from edmc.geometry import (gram_from_points, read_points_csv, truncated_gram,
+                           write_points_csv)
+from edmc.sampling import bernoulli_sample, observe
+from edmc.solver import SolverConfig
 from edmc.synthdata import DatasetSpec, generate
 
 
@@ -80,6 +85,15 @@ class TestPipeline:
         assert 0.0 < payload["final_rel_residual"] < 1e-3
         assert payload["final_min_eig"] > 0.0
         assert "_meta" in payload and "rel_gram_error" not in payload
+
+    def test_sample_writes_the_dense_path_bytes(self, pipeline_dir):
+        points = read_points_csv(pipeline_dir / "points.csv")
+        points = points - points.mean(axis=0)
+        ref = pipeline_dir / "ref.csv"
+        observe(gram_from_points(points), bernoulli_sample(60, 0.6, 5), p=0.6, seed=5).save(ref)
+        for suffix in (".csv", ".json"):
+            assert (pipeline_dir / "dist").with_suffix(suffix).read_bytes() == \
+                ref.with_suffix(suffix).read_bytes()
 
     def test_solve_full_sampling_trivial(self, tmp_path):
         points = tmp_path / "p.csv"
@@ -285,6 +299,49 @@ class TestGridConfigKeys:
         assert run_cli(["grid", "--config", str(cfg), "--out", str(tmp_path / "g.csv")]) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "'r_grid'" in err["error"]
+
+    @pytest.mark.parametrize("section,patch,key,expected", [
+        ("the top level", {"trials": "3"}, "trials", "an integer"),
+        ("the top level", {"trials": 1.5}, "trials", "an integer"),
+        ("the top level", {"seed": True}, "seed", "an integer"),
+        ("the top level", {"r_grid": [3.0]}, "r_grid", "a list of integers"),
+        ("the top level", {"rho_grid": 8.0}, "rho_grid", "a list of numbers"),
+        ("the top level", {"gamma_grid": [None, "-3"]}, "gamma_grid",
+         "a list of numbers or nulls"),
+        ("the top level", {"dataset": "sphere_surface"}, "dataset", "a JSON object"),
+        ("dataset", {"dataset": {**GRID_CONFIG["dataset"], "n": "40"}}, "n", "an integer"),
+        ("dataset", {"dataset": {**GRID_CONFIG["dataset"], "kind": 3}}, "kind", "a string"),
+        ("dataset", {"dataset": {**GRID_CONFIG["dataset"], "swiss_turns": "1.5"}},
+         "swiss_turns", "a number"),
+        ("solver", {"solver": {"max_iters": 100.0}}, "max_iters", "an integer"),
+        ("solver", {"solver": {"change_tol": None}}, "change_tol", "a number"),
+        ("solver", {"solver": {"gradient_op": ["normal"]}}, "gradient_op", "a string"),
+    ])
+    def test_wrong_type_names_key_section_and_type(self, tmp_path, capsys, section, patch,
+                                                   key, expected):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({**GRID_CONFIG, **patch}))
+        out = tmp_path / "grid.csv"
+        assert run_cli(["grid", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ValueError"
+        assert f"{key!r} in {section} of the grid config must be {expected}" in err["error"]
+
+    def test_integers_pass_as_floats_and_nulls_as_gammas(self, tmp_path):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({
+            **GRID_CONFIG, "rho_grid": [8], "gamma_grid": [None, -3],
+            "dataset": {**GRID_CONFIG["dataset"], "swiss_turns": 2},
+            "solver": {"change_tol": 1, "change_tol_mode": "absolute"}}))
+        config, _ = _experiment_config_from_json(cfg, {})
+        assert config.rho_grid == (8,) and config.gamma_grid == (None, -3)
+        assert config.dataset.swiss_turns == 2 and config.solver.change_tol == 1
+
+    def test_every_config_field_has_a_type_check(self):
+        for cls in (ExperimentConfig, DatasetSpec, SolverConfig):
+            for f in dataclasses.fields(cls):
+                assert f.name == "truth" or f.name in _GRID_TYPES or f.type in _VALUE_TYPES
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from edmc import experiments, geometry, solver
+from edmc import experiments, geometry, sampling, solver
 from edmc.experiments import (GRID_CSV_COLUMNS, TRIAL_STATUSES, ExperimentConfig, GridCell,
                               grid_rows, run_cell, run_grid, run_trial)
 from edmc.geometry import gram_from_points, write_points_csv
@@ -61,6 +63,27 @@ class TestFactoredTruth:
                           SolverConfig())
         assert trial.status == "converged" and trial.error == ""
         assert trial.rel_error < 1e-3
+
+    def test_no_square_array(self, monkeypatch):
+        # n=3000, not smaller: the sampler's block of SAMPLE_BLOCK uniforms
+        # (8.4 MB) alone passes n^2 * 8 / 4 bytes below about n=2050
+        n = 3000
+
+        def no_dense_gram(*args, **kwargs):
+            raise AssertionError("gram_from_points called")
+
+        for module in (geometry, experiments, sampling):
+            monkeypatch.setattr(module, "gram_from_points", no_dense_gram, raising=False)
+        tracemalloc.start()
+        try:
+            trial = run_trial(DatasetSpec("sphere_surface", n=n, r=3), _cell(n, 3), 2,
+                              SolverConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trial.status == "converged" and trial.error == ""
+        assert trial.rel_error < 1e-3
+        assert peak < n * n * 8 / 4
 
 
 class TestTrialFailures:

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edmc.geometry import distances_from_gram
-from edmc.sampling import (SAMPLE_BLOCK, NoiseSpec, PairSet, SampledDistances,
-                           bernoulli_sample, degrees_of_freedom, observe,
-                           oversampling_ratio, pair_count, perturb_points,
-                           probability_for_ratio, rng_from_seed)
+from edmc import sampling
+from edmc.geometry import distances_from_gram, gram_from_points
+from edmc.sampling import (OBSERVE_BLOCK, SAMPLE_BLOCK, NoiseSpec, PairSet,
+                           SampledDistances, bernoulli_sample, degrees_of_freedom,
+                           observe, observe_points, oversampling_ratio, pair_count,
+                           perturb_points, probability_for_ratio, rng_from_seed)
 from edmc.synthdata import DatasetSpec, generate
 
 from conftest import noise_floor, random_centered_gram
@@ -150,6 +151,70 @@ class TestObserve:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             observe(TWO_POINT_GRAM, PairSet.from_pairs(3, [(0, 2)]))
+
+
+#: (kind, dimension) of the clouds observe_points is checked on
+CLOUDS = [("sphere_surface", d) for d in (2, 3, 6, 10)] + [("swiss_roll", 3)] + \
+    [("unit_ball_uniform", d) for d in (2, 3, 5, 10)]
+
+
+def _cloud(kind, d, n, noisy, seed=0):
+    """A generated cloud, perturbed and re-centred as ``run_trial`` does when noisy."""
+    points = generate(DatasetSpec(kind, n=n, r=d, seed=seed))
+    if noisy:
+        points = perturb_points(points, NoiseSpec(1e-2, seed=seed + 1))
+        points = points - points.mean(axis=0)
+    return points
+
+
+def _pair_sets(n):
+    return [bernoulli_sample(n, 0.3, seed=n), PairSet(n, np.array([], int), np.array([], int)),
+            PairSet.full(n)]
+
+
+class TestObservePoints:
+    @pytest.mark.parametrize("kind,d", CLOUDS)
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_one_block_is_bitwise_the_dense_path(self, kind, d, noisy):
+        n = 150
+        assert OBSERVE_BLOCK // n >= n
+        points = _cloud(kind, d, n, noisy)
+        gram = gram_from_points(points)
+        for pairs in _pair_sets(n):
+            dense = observe(gram, pairs, p=0.3, seed=4)
+            blocked = observe_points(points, pairs, p=0.3, seed=4)
+            assert np.array_equal(blocked.values, dense.values)
+            assert blocked.pairs is pairs and (blocked.p, blocked.seed) == (0.3, 4)
+
+    @pytest.mark.parametrize("kind,d", CLOUDS)
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    def test_row_blocks_agree_to_a_few_ulp(self, kind, d, rows, monkeypatch):
+        # at this size blocks of several rows differ from the one product in
+        # some last bits (up to 3 ulp of the largest value were seen)
+        n = 700
+        points = _cloud(kind, d, n, noisy=kind == "unit_ball_uniform")
+        monkeypatch.setattr(sampling, "OBSERVE_BLOCK", rows * n)
+        for pairs in _pair_sets(n):
+            dense = observe(gram_from_points(points), pairs).values
+            blocked = observe_points(points, pairs).values
+            scale = np.abs(dense).max(initial=0.0)
+            assert np.abs(blocked - dense).max(initial=0.0) <= 4 * np.spacing(scale)
+
+    def test_rejects_a_cloud_that_is_not_centred(self):
+        points = _cloud("sphere_surface", 3, 20, noisy=False) + 0.1
+        with pytest.raises(ValueError, match="not centered"):
+            observe_points(points, PairSet.full(20))
+
+    def test_rejects_non_finite_points(self):
+        points = _cloud("sphere_surface", 3, 20, noisy=False)
+        points[4, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            observe_points(points, PairSet.full(20))
+
+    def test_rejects_a_pair_set_of_another_size(self):
+        points = _cloud("sphere_surface", 3, 20, noisy=False)
+        with pytest.raises(ValueError, match=r"20 points.*n=21"):
+            observe_points(points, PairSet.full(21))
 
 
 class TestPerturbPoints:
