@@ -19,9 +19,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.sparse import csr_array
 
-from . import dualbasis as db
+from . import dualbasis as db, sampling
 from .geometry import FactoredGram
-from .sampling import PairSet, rng_from_seed
+from .sampling import PairSet, rng_from_seed, row_blocks
 
 #: multiply the reported nu by this to get the normalization used by the
 #: concentration bounds (max ||P_U w_a||_F^2 <= nu_a * r / (2n))
@@ -51,17 +51,6 @@ class CoherenceReport:
         return json.dumps(payload, sort_keys=True)
 
 
-#: float64 elements in one block of distance rows (2 MB): the blocked passes
-#: below hold a few such blocks, never an n-by-n array
-BLOCK_ELEMS = 1 << 18
-
-
-def _row_blocks(n):
-    """Row ranges ``[s, e)`` of an ``(n, n)`` array, about BLOCK_ELEMS each."""
-    step = max(1, BLOCK_ELEMS // n)
-    return ((s, min(s + step, n)) for s in range(0, n, step))
-
-
 def _sq_dist_blocks(U):
     """Blocks of rows of ``||u_i - u_j||^2 = sq_i + sq_j - 2 u_i.u_j``.
 
@@ -69,7 +58,7 @@ def _sq_dist_blocks(U):
     """
     n = U.shape[0]
     sq = np.sum(U * U, axis=1)
-    for s, e in _row_blocks(n):
+    for s, e in row_blocks(n):
         d = sq[s:e, None] + sq[None, :] - 2.0 * (U[s:e] @ U.T)
         d[np.arange(e - s), np.arange(s, e)] = 0.0
         yield s, e, d
@@ -80,9 +69,9 @@ def _whitened_sq_dist_blocks(points, inv_lam):
     n = points.shape[0]
     w = points * inv_lam
     sq = np.empty(n)
-    for s, e in _row_blocks(n):
+    for s, e in row_blocks(n):
         sq[s:e] = np.diag(points[s:e] @ w[s:e].T)
-    for s, e in _row_blocks(n):
+    for s, e in row_blocks(n):
         d = sq[s:e, None] + sq[None, :] - points[s:e] @ w.T - w[s:e] @ points.T
         d[np.arange(e - s), np.arange(s, e)] = 0.0
         yield s, e, d
@@ -218,7 +207,7 @@ def _row_cross_max(U, i, best, slack):
         k = int(np.count_nonzero(a[:live] * a[s] > best))
         if k - s < 2:
             break
-        e = min(k, s + max(1, BLOCK_ELEMS // (k - s)))
+        e = min(k, s + max(1, sampling.BLOCK_ELEMS // (k - s)))
         g = np.abs(diff[s:e] @ diff[s:k].T)
         g[np.arange(e - s), np.arange(e - s)] = 0.0   # j == k is the same pair
         best = max(best, float(g.max()))
@@ -249,48 +238,6 @@ def sum_pairwise_row_distances(x: FactoredGram):
     U = x.U
     total = U.sum(axis=0)
     return float(x.n * np.sum(U * U) - total @ total)
-
-
-def coherence_gram_lambda_max(x: FactoredGram, dense_cutoff=64,
-                              power_iters=2000, tol=1e-10, seed=0):
-    """Largest eigenvalue of ``[<P_U w_a, P_U w_b>]`` over all pair pairs.
-
-    Dense construction below the cutoff; above it, power iteration on the
-    implicit matrix ``(Y Y^T) .* (B B^T)`` with B the incidence matrix of all
-    pairs and ``Y = BU`` the row differences of U, at O(L r) per product.
-    """
-    n = x.n
-    B = PairSet.full(n).incidence
-    Y = B @ x.U
-    if n <= dense_cutoff:
-        inner = Y @ Y.T
-        sign = _pair_overlap_matrix(B)
-        return float(np.linalg.eigvalsh(inner * sign).max())
-    rng = rng_from_seed(seed)
-    v = rng.standard_normal(B.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(power_iters):
-        hv = _coherence_gram_matvec(v, Y, B)
-        norm = np.linalg.norm(hv)
-        if norm == 0.0:
-            return 0.0
-        new_lam = float(v @ hv)
-        v = hv / norm
-        if abs(new_lam - lam) <= tol * max(abs(new_lam), 1.0):
-            return new_lam
-        lam = new_lam
-    return lam
-
-
-def _pair_overlap_matrix(B):
-    # (e_i - e_j) . (e_k - e_l) for all pair combinations: B B^T
-    return (B @ B.T).toarray().astype(float)
-
-
-def _coherence_gram_matvec(vcoef, Y, B):
-    # (H v)_a = y_a^T Z^T b_a with Z^T = sum_b v_b b_b y_b^T = B^T (v * Y)
-    return np.einsum("ij,ij->i", Y, B @ (B.T @ (vcoef[:, None] * Y)))
 
 
 def tangent_phi(x: FactoredGram, pairs: PairSet):

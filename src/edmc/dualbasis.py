@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array, diags_array
+from scipy.sparse import csr_array
 from scipy.sparse.linalg import LinearOperator
 
 from .sampling import PairSet, pair_count
@@ -158,18 +158,8 @@ def pair_row_sums(c, pairs: PairSet):
 
 # ---------------------------------------------------------------------------
 # O(m) fast paths.  All operator images lie in the span of {w_b : b in
-# Omega} and are returned either as expansion coefficients g (the matrix
-# is sum_b g_b w_b) or assembled as a sparse symmetric matrix.
-
-
-def w_expand(g, pairs: PairSet):
-    """Assemble ``sum_b g_b w_b`` as a sparse symmetric matrix.
-
-    Support is the pair pattern plus the diagonal: at most ``4m + n``
-    stored entries.
-    """
-    B = pairs.incidence
-    return (B.T @ diags_array(np.asarray(g, dtype=float)) @ B).tocsr()
+# Omega} and are returned as expansion coefficients g (the matrix is
+# sum_b g_b w_b), which w_expand_matvec applies to a factor.
 
 
 def w_expand_matvec(g, pairs: PairSet, V):
@@ -184,11 +174,6 @@ def w_expand_matvec(g, pairs: PairSet, V):
     out -= a @ V
     out -= a.T @ V
     return out
-
-
-def f_omega_apply(coeffs, pairs: PairSet):
-    """Restricted frame operator image ``sum_a c_a w_a`` (sparse)."""
-    return w_expand(coeffs, pairs)
 
 
 def _jpj_on_support(coeffs, pairs: PairSet):
@@ -215,11 +200,6 @@ def rstar_r_coeffs(coeffs, pairs: PairSet):
     return 0.5 * _jpj_on_support(coeffs, pairs)
 
 
-def rstar_r_apply(coeffs, pairs: PairSet):
-    """Normal operator image as a sparse symmetric matrix, O(m)."""
-    return w_expand(rstar_r_coeffs(coeffs, pairs), pairs)
-
-
 def m_omega_coeffs(coeffs, pairs: PairSet, p):
     """w-expansion coefficients of the de-biased operator image.
 
@@ -232,10 +212,6 @@ def m_omega_coeffs(coeffs, pairs: PairSet, p):
         raise ValueError(f"p must be in (0, 1], got {p}")
     c = np.asarray(coeffs, dtype=float)
     return rstar_r_coeffs(c, pairs) - v_norm_sq(pairs.n) * (1.0 - p) * c
-
-
-def m_omega_apply(coeffs, pairs: PairSet, p):
-    return w_expand(m_omega_coeffs(coeffs, pairs, p), pairs)
 
 
 def r_omega_apply(coeffs, pairs: PairSet):

@@ -99,15 +99,6 @@ class FactoredGram:
         return self
 
 
-def gram_inner(a: FactoredGram, b) -> float:
-    """Trace inner product ``<A, B>`` with A factored and B factored or dense."""
-    if isinstance(b, FactoredGram):
-        C = a.U.T @ b.U
-        return float(np.einsum("i,j,ij->", a.eigs, b.eigs, C * C))
-    B = np.asarray(b, dtype=float)
-    return float(np.sum(a.eigs * np.einsum("ji,jk,ki->i", a.U, B, a.U)))
-
-
 def gram_frobenius_error(a: FactoredGram, b) -> float:
     """``||A - B||_F`` for a factored A and a factored or dense B.
 

@@ -50,9 +50,6 @@ class TangentVector:
     def scale(self, c):
         return TangentVector(self.base, c * self.M, c * self.Zu)
 
-    def add(self, other: "TangentVector"):
-        return TangentVector(self.base, self.M + other.M, self.Zu + other.Zu)
-
     def matrix(self):
         U = self.base.U
         return U @ self.M @ U.T + self.Zu @ U.T + U @ self.Zu.T

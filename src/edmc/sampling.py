@@ -184,13 +184,17 @@ class SampledDistances:
         sidecar = json.loads(path.with_suffix(".json").read_text())
         ii, jj, vals = [], [], []
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
                 if not row or row[0].lstrip().startswith("#") or row[0] == "i":
                     continue
-                ii.append(int(row[0]) - 1)
-                jj.append(int(row[1]) - 1)
-                vals.append(float(row[2]))
+                try:
+                    i, j, d = int(row[0]) - 1, int(row[1]) - 1, float(row[2])
+                except (IndexError, ValueError):
+                    raise ValueError(f"{path}:{lineno}: expected integer indices i, j and "
+                                     f"a distance d, got {','.join(row)!r}") from None
+                ii.append(i)
+                jj.append(j)
+                vals.append(d)
         pairs = PairSet(int(sidecar["n"]), np.asarray(ii), np.asarray(jj))
         return cls(pairs, np.asarray(vals), p=sidecar.get("p"), seed=sidecar.get("seed"))
 
@@ -205,8 +209,15 @@ def observe(x_true, pairs: PairSet, p=None, seed=None):
     return SampledDistances(pairs, values, p=p, seed=seed)
 
 
-#: float64 Gram entries in one row block of :func:`observe_points` (2 MB)
-OBSERVE_BLOCK = 1 << 18
+#: float64 elements in one row block of an n x n array (2 MB): the blocked
+#: passes over Gram and distance rows hold a few such blocks, never all n x n
+BLOCK_ELEMS = 1 << 18
+
+
+def row_blocks(n):
+    """Row ranges ``[s, e)`` of an ``(n, n)`` array, about BLOCK_ELEMS each."""
+    step = max(1, BLOCK_ELEMS // max(n, 1))
+    return ((s, min(s + step, n)) for s in range(0, n, step))
 
 
 def observe_points(points, pairs: PairSet, p=None, seed=None):
@@ -227,9 +238,7 @@ def observe_points(points, pairs: PairSet, p=None, seed=None):
     indptr = pairs.upper_pattern[0]
     g_diag = np.empty(n)
     g_pair = np.empty(pairs.m)
-    step = max(1, OBSERVE_BLOCK // max(n, 1))
-    for s in range(0, n, step):
-        e = min(s + step, n)
+    for s, e in row_blocks(n):
         g = points[s:e] @ points.T
         g_diag[s:e] = g[np.arange(e - s), np.arange(s, e)]
         a, b = indptr[s], indptr[e]

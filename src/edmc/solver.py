@@ -239,9 +239,12 @@ def step_size(tangent_g: TangentVector, pairs: PairSet, p,
     return alpha, flagged
 
 
-def _truth_error_fn(truth, rank):
+def _truth_error_fn(truth, rank, n):
     if truth is None:
         return None
+    truth_n = truth.n if isinstance(truth, FactoredGram) else np.shape(truth)[0]
+    if truth_n != n:
+        raise ValueError(f"the truth has n={truth_n} points but the sample has n={n}")
     if not isinstance(truth, FactoredGram):
         # exactly rank-r truths get the precise factored comparison path
         dense = np.asarray(truth, dtype=float)
@@ -260,6 +263,7 @@ def solve(problem: Problem, x0: FactoredGram | None = None,
           config: SolverConfig | None = None) -> SolveResult:
     """Run the manifold descent from ``x0`` (one-step init when omitted)."""
     config = config or SolverConfig()
+    truth_err = _truth_error_fn(config.truth, problem.rank, problem.data.n)
     if x0 is None:
         x0 = init_one_step(problem)
     if x0.r != problem.rank:
@@ -267,7 +271,6 @@ def solve(problem: Problem, x0: FactoredGram | None = None,
     pairs, d, p = problem.data.pairs, problem.data.values, problem.p
     mode = config.gradient_op
     trace = SolverTrace(data_norm=float(np.linalg.norm(d)))
-    truth_err = _truth_error_fn(config.truth, problem.rank)
     err0 = truth_err(x0) if truth_err else None
 
     current = x0

@@ -11,14 +11,18 @@ from .sampling import rng_from_seed
 
 KINDS = ("sphere_surface", "swiss_roll", "unit_ball_uniform", "file")
 
+#: the swiss roll's angle runs over ``SWISS_TURNS * pi * [1, 3)`` and its
+#: height over ``[0, SWISS_HEIGHT)``
+SWISS_TURNS = 1.5
+SWISS_HEIGHT = 21.0
+
 
 @dataclass(frozen=True)
 class DatasetSpec:
     """What to generate: kind, size, ambient dimension, seed.
 
-    ``swiss_roll`` is intrinsically 3-d (it needs ``r=3``) and takes the
-    number of turns and the slab height as parameters; ``file`` reads a
-    point-cloud CSV from ``path``.
+    ``swiss_roll`` is intrinsically 3-d (it needs ``r=3``); ``file`` reads
+    a point-cloud CSV from ``path``.
 
     In an experiment grid the spec is a template: for a generator kind,
     every trial replaces ``seed`` with the trial seed and ``r`` with the
@@ -30,8 +34,6 @@ class DatasetSpec:
     n: int = 0
     r: int = 3
     seed: int = 0
-    swiss_turns: float = 1.5
-    swiss_height: float = 21.0
     path: str | None = None
 
     def __post_init__(self):
@@ -61,8 +63,8 @@ def generate(spec: DatasetSpec):
     elif spec.kind == "swiss_roll":
         if spec.r != 3:
             raise ValueError("swiss_roll is three dimensional; set r=3")
-        t = spec.swiss_turns * np.pi * (1.0 + 2.0 * rng.random(spec.n))
-        height = spec.swiss_height * rng.random(spec.n)
+        t = SWISS_TURNS * np.pi * (1.0 + 2.0 * rng.random(spec.n))
+        height = SWISS_HEIGHT * rng.random(spec.n)
         points = np.column_stack([t * np.cos(t), height, t * np.sin(t)])
     else:  # pragma: no cover
         raise AssertionError(spec.kind)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from edmc.dualbasis import w_expand_matvec
 from edmc.geometry import FactoredGram, gram_from_points
 from edmc.sampling import NoiseSpec, perturb_points
 
@@ -49,6 +50,12 @@ def noise_floor(points, bound, seed):
     noisy -= noisy.mean(axis=0)
     truth = gram_from_points(points)
     return np.linalg.norm(gram_from_points(noisy) - truth) / np.linalg.norm(truth)
+
+
+def expand(g, pairs):
+    """``sum_b g_b w_b`` as a dense n x n array, formed by the solver's
+    product ``w_expand_matvec`` against the identity."""
+    return w_expand_matvec(g, pairs, np.eye(pairs.n))
 
 
 def random_centered_symmetric(n, seed):

@@ -86,6 +86,27 @@ class TestPipeline:
         assert payload["final_min_eig"] > 0.0
         assert "_meta" in payload and "rel_gram_error" not in payload
 
+    def test_truth_of_another_size_names_both_sizes(self, pipeline_dir, capsys):
+        truth = pipeline_dir / "truth61.csv"
+        write_points_csv(truth, generate(DatasetSpec("sphere_surface", n=61, r=3, seed=4)))
+        code = run_cli(["solve", "--data", str(pipeline_dir / "dist.csv"), "--r", "3",
+                        "--truth", str(truth)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ValueError"
+        assert "n=61" in err["error"] and "n=60" in err["error"]
+
+    @pytest.mark.parametrize("row", ["3,4", "3,4,abc"])
+    def test_malformed_data_row_fails_with_json_error(self, pipeline_dir, capsys, row):
+        data = pipeline_dir / "dist.csv"
+        lines = data.read_text().splitlines()
+        lines[2] = row
+        data.write_text("\n".join(lines) + "\n")
+        assert run_cli(["solve", "--data", str(data), "--r", "3"]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ValueError"
+        assert f"{data}:3:" in err["error"]
+
     def test_sample_writes_the_dense_path_bytes(self, pipeline_dir):
         points = read_points_csv(pipeline_dir / "points.csv")
         points = points - points.mean(axis=0)
@@ -311,8 +332,8 @@ class TestGridConfigKeys:
         ("the top level", {"dataset": "sphere_surface"}, "dataset", "a JSON object"),
         ("dataset", {"dataset": {**GRID_CONFIG["dataset"], "n": "40"}}, "n", "an integer"),
         ("dataset", {"dataset": {**GRID_CONFIG["dataset"], "kind": 3}}, "kind", "a string"),
-        ("dataset", {"dataset": {**GRID_CONFIG["dataset"], "swiss_turns": "1.5"}},
-         "swiss_turns", "a number"),
+        ("dataset", {"dataset": {**GRID_CONFIG["dataset"], "path": 3}}, "path",
+         "a string or null"),
         ("solver", {"solver": {"max_iters": 100.0}}, "max_iters", "an integer"),
         ("solver", {"solver": {"change_tol": None}}, "change_tol", "a number"),
         ("solver", {"solver": {"gradient_op": ["normal"]}}, "gradient_op", "a string"),
@@ -332,11 +353,10 @@ class TestGridConfigKeys:
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps({
             **GRID_CONFIG, "rho_grid": [8], "gamma_grid": [None, -3],
-            "dataset": {**GRID_CONFIG["dataset"], "swiss_turns": 2},
             "solver": {"change_tol": 1, "change_tol_mode": "absolute"}}))
         config, _ = _experiment_config_from_json(cfg, {})
         assert config.rho_grid == (8,) and config.gamma_grid == (None, -3)
-        assert config.dataset.swiss_turns == 2 and config.solver.change_tol == 1
+        assert config.solver.change_tol == 1
 
     def test_every_config_field_has_a_type_check(self):
         for cls in (ExperimentConfig, DatasetSpec, SolverConfig):

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edmc import diagnostics
-from edmc.diagnostics import (ANALYSIS_NU_SCALE, coherence_gram_lambda_max,
-                              cross_coherence, cross_term_max, cross_term_max_dense,
-                              incoherence, rip_estimate, sum_pairwise_row_distances)
+from edmc import diagnostics, sampling
+from edmc.diagnostics import (ANALYSIS_NU_SCALE, cross_coherence, cross_term_max,
+                              cross_term_max_dense, incoherence, rip_estimate,
+                              sum_pairwise_row_distances)
 from edmc.geometry import FactoredGram
 from edmc.manifold import TangentVector, project_tangent, project_w_expansion
 from edmc.sampling import PairSet, bernoulli_sample
@@ -64,7 +64,7 @@ def adversarial_factors(draw):
     else:   # small binary fractions: every product and sum is exact, ties abound
         u = 0.25 * rng.integers(-2, 3, size=(n, r)).astype(float)
     eigs = rng.uniform(0.5, 3.0, size=r) * rng.choice([-1.0, 1.0], size=r)
-    block = draw(st.sampled_from([1, 7, 64, diagnostics.BLOCK_ELEMS]))
+    block = draw(st.sampled_from([1, 7, 64, sampling.BLOCK_ELEMS]))
     return FactoredGram(u, eigs), kind, block
 
 
@@ -89,7 +89,7 @@ class TestCrossTermSearch:
     @settings(max_examples=300, deadline=None)
     def test_matches_dense_oracle(self, case):
         x, kind, block = case
-        with mock.patch.object(diagnostics, "BLOCK_ELEMS", block):
+        with mock.patch.object(sampling, "BLOCK_ELEMS", block):
             fast = cross_term_max(x)
         dense = cross_term_max_dense(x)
         assert fast == pytest.approx(dense, rel=1e-12, abs=0.0)
@@ -100,7 +100,7 @@ class TestCrossTermSearch:
     @settings(max_examples=200, deadline=None)
     def test_report_matches_dense_reference(self, case):
         x, kind, block = case
-        with mock.patch.object(diagnostics, "BLOCK_ELEMS", block):
+        with mock.patch.object(sampling, "BLOCK_ELEMS", block):
             rep = incoherence(x, cross_terms=False)
         nu, pair, whitened_nu = dense_incoherence(x)
         # a one-row block is a matrix-vector product, which may round its
@@ -127,8 +127,8 @@ class TestCrossTermSearch:
     def test_first_pair_wins_ties(self):
         # a square: both diagonals are maximal; the first in (i<j) order is (0, 2)
         u = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]) / np.sqrt(2.0)
-        for block in (1, 3, diagnostics.BLOCK_ELEMS):
-            with mock.patch.object(diagnostics, "BLOCK_ELEMS", block):
+        for block in (1, 3, sampling.BLOCK_ELEMS):
+            with mock.patch.object(sampling, "BLOCK_ELEMS", block):
                 rep = incoherence(FactoredGram(u, np.ones(2)), cross_terms=False)
             assert rep.argmax_pair == (0, 2)
 
@@ -244,36 +244,6 @@ class TestCrossCoherence:
             if a != b and set(a) & set(b)
         )
         assert cross_term_max(fg) == pytest.approx(brute, rel=1e-10)
-
-
-class TestCoherenceGram:
-    def test_triangle_bounded_by_analysis_nu(self):
-        rep = incoherence(TRIANGLE)
-        lmax = coherence_gram_lambda_max(TRIANGLE)
-        assert lmax <= rep.analysis_nu * TRIANGLE.r + 1e-9
-
-    def test_rank_zero_is_zero(self):
-        fg = FactoredGram(np.zeros((5, 0)), np.zeros(0))
-        assert coherence_gram_lambda_max(fg) == 0.0
-
-    def test_gershgorin_dominates(self):
-        fg = random_factored_gram(20, 3, seed=7)
-        n = 20
-        ii, jj = np.triu_indices(n, k=1)
-        y = fg.U[ii] - fg.U[jj]
-        from edmc.diagnostics import _pair_overlap_matrix
-
-        htilde = (y @ y.T) * _pair_overlap_matrix(PairSet(n, ii, jj).incidence)
-        lmax = coherence_gram_lambda_max(fg)
-        gershgorin = np.abs(htilde).sum(axis=1).max()
-        assert lmax <= gershgorin + 1e-9
-        assert lmax == pytest.approx(np.linalg.eigvalsh(htilde).max(), rel=1e-9)
-
-    def test_power_iteration_matches_dense(self):
-        fg = random_factored_gram(30, 3, seed=8)
-        dense = coherence_gram_lambda_max(fg, dense_cutoff=40)
-        power = coherence_gram_lambda_max(fg, dense_cutoff=10)
-        assert power == pytest.approx(dense, rel=1e-8)
 
 
 class TestPairwiseRowDistances:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import edmc.dualbasis as db
 from edmc.sampling import PairSet, bernoulli_sample, pair_count
 
-from conftest import random_centered_symmetric, random_factored_gram
+from conftest import expand, random_centered_symmetric, random_factored_gram
 
 TWO_POINT_GRAM = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -118,16 +118,16 @@ def random_instance(n, seed, p=0.5):
 class TestFOmega:
     def test_single_basis_element(self):
         pairs = PairSet.from_pairs(3, [(0, 1)])
-        out = db.f_omega_apply(np.array([1.0]), pairs).toarray()
+        out = expand(np.array([1.0]), pairs)
         assert np.allclose(out, [[1, -1, 0], [-1, 1, 0], [0, 0, 0]], atol=0)
 
     def test_zero_coefficients(self):
         pairs = PairSet.from_pairs(4, [(0, 1), (2, 3)])
-        assert np.all(db.f_omega_apply(np.zeros(2), pairs).toarray() == 0)
+        assert np.all(expand(np.zeros(2), pairs) == 0)
 
     def test_matches_dense_oracle(self):
         y, pairs, coeffs = random_instance(9, seed=2)
-        fast = db.f_omega_apply(coeffs, pairs).toarray()
+        fast = expand(coeffs, pairs)
         assert np.abs(fast - db.f_omega_dense(y, pairs)).max() <= 1e-12
 
 
@@ -188,20 +188,20 @@ class TestRstarR:
     def test_full_sampling_is_identity(self):
         y = random_centered_symmetric(6, seed=9)
         pairs = PairSet.full(6)
-        out = db.rstar_r_apply(db.w_coeffs(y, pairs), pairs).toarray()
+        out = expand(db.rstar_r_coeffs(db.w_coeffs(y, pairs), pairs), pairs)
         assert np.abs(out - y).max() <= 1e-11 * max(1, np.abs(y).max())
 
     def test_single_pair_closed_form(self):
         n = 6
         pairs = PairSet.from_pairs(n, [(1, 4)])
         c = 2.5
-        out = db.rstar_r_apply(np.array([c]), pairs).toarray()
+        out = expand(db.rstar_r_coeffs(np.array([c]), pairs), pairs)
         expect = c * 0.5 * (1 - 2 / n + 2 / n**2) * db.w_alpha_dense(n, 1, 4)
         assert np.abs(out - expect).max() <= 1e-13
 
     def test_matches_dense_oracle(self):
         y, pairs, coeffs = random_instance(8, seed=10)
-        fast = db.rstar_r_apply(coeffs, pairs).toarray()
+        fast = expand(db.rstar_r_coeffs(coeffs, pairs), pairs)
         assert np.abs(fast - db.rstar_r_dense(y, pairs)).max() <= 1e-11
 
     def test_positive_semidefinite_quadratic_form(self):
@@ -216,31 +216,31 @@ class TestMOmega:
     def test_full_sampling_p_one_identity(self):
         y = random_centered_symmetric(6, seed=11)
         pairs = PairSet.full(6)
-        out = db.m_omega_apply(db.w_coeffs(y, pairs), pairs, p=1.0).toarray()
+        out = expand(db.m_omega_coeffs(db.w_coeffs(y, pairs), pairs, p=1.0), pairs)
         assert np.abs(out - y).max() <= 1e-11 * max(1, np.abs(y).max())
 
     def test_single_pair_any_p(self):
         n, p = 7, 0.3
         pairs = PairSet.from_pairs(n, [(2, 5)])
         c = -1.7
-        out = db.m_omega_apply(np.array([c]), pairs, p).toarray()
+        out = expand(db.m_omega_coeffs(np.array([c]), pairs, p), pairs)
         expect = p * c * 0.5 * (1 - 2 / n + 2 / n**2) * db.w_alpha_dense(n, 2, 5)
         assert np.abs(out - expect).max() <= 1e-13
 
     def test_matches_dense_oracle(self):
         y, pairs, coeffs = random_instance(10, seed=12)
-        fast = db.m_omega_apply(coeffs, pairs, p=0.5).toarray()
+        fast = expand(db.m_omega_coeffs(coeffs, pairs, p=0.5), pairs)
         dense = db.m_omega_dense(y, pairs, p=0.5)
         assert np.abs(fast - dense).max() <= 1e-11
 
     def test_p_zero_rejected(self):
         pairs = PairSet.from_pairs(3, [(0, 1)])
         with pytest.raises(ValueError):
-            db.m_omega_apply(np.array([1.0]), pairs, p=0.0)
+            db.m_omega_coeffs(np.array([1.0]), pairs, p=0.0)
 
     def test_image_in_zero_row_sum_space(self):
         y, pairs, coeffs = random_instance(11, seed=13)
-        out = db.m_omega_apply(coeffs, pairs, p=0.4).toarray()
+        out = expand(db.m_omega_coeffs(coeffs, pairs, p=0.4), pairs)
         scale = max(np.abs(out).max() * 11, 1e-300)
         assert np.abs(out.sum(axis=1)).max() <= 1e-9 * scale
 
@@ -301,7 +301,8 @@ class TestWExpand:
             return
         g = rng.standard_normal(len(pairs))
         v = rng.standard_normal((n, 3))
-        direct = db.w_expand(g, pairs).toarray() @ v
+        dense = sum(ga * db.w_alpha_dense(n, i, j) for ga, (i, j) in zip(g, pairs))
+        direct = dense @ v
         assert np.abs(db.w_expand_matvec(g, pairs, v) - direct).max() <= 1e-12 * max(
             1, np.abs(direct).max()
         )
@@ -373,10 +374,10 @@ class TestSBasis:
             y, pairs, coeffs = random_instance(n, seed=40 + seed, p=p)
             ycoord = np.einsum("kij,ij->k", basis, y)
             for op, fast in [
-                ("f_omega", db.f_omega_apply(coeffs, pairs).toarray()),
+                ("f_omega", expand(coeffs, pairs)),
                 ("r_omega", db.r_omega_apply(coeffs, pairs)),
-                ("rstar_r", db.rstar_r_apply(coeffs, pairs).toarray()),
-                ("m_omega", db.m_omega_apply(coeffs, pairs, p).toarray()),
+                ("rstar_r", expand(db.rstar_r_coeffs(coeffs, pairs), pairs)),
+                ("m_omega", expand(db.m_omega_coeffs(coeffs, pairs, p), pairs)),
             ]:
                 theta = db.dense_operator_matrix(op, pairs, p=p, basis=basis)
                 image = np.einsum("k,kij->ij", theta @ ycoord, basis)

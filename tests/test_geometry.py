@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from edmc.geometry import (FactoredGram, NotEmbeddableError, center_points,
                            classical_mds, distances_from_gram,
                            factored_gram_from_points, gram_from_distances,
-                           gram_from_points, gram_inner,
+                           gram_from_points,
                            gram_frobenius_error, magnitude_order,
                            procrustes_error, read_points_csv, truncated_gram,
                            write_points_csv)
@@ -216,12 +216,9 @@ class TestFactoredGram:
         with pytest.raises(ValueError):
             FactoredGram(u, np.array([1.0, 1.0])).validate()
 
-    def test_gram_inner_and_error(self):
+    def test_frobenius_error(self):
         a = truncated_gram(random_centered_gram(8, 2, seed=1), 2)
         b = truncated_gram(random_centered_gram(8, 2, seed=2), 2)
-        dense_inner = np.sum(a.matrix() * b.matrix())
-        assert gram_inner(a, b) == pytest.approx(dense_inner, rel=1e-12)
-        assert gram_inner(a, b.matrix()) == pytest.approx(dense_inner, rel=1e-12)
         dense_err = np.linalg.norm(a.matrix() - b.matrix())
         assert gram_frobenius_error(a, b) == pytest.approx(dense_err, rel=1e-10)
 

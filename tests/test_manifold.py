@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edmc.dualbasis import w_coeffs, w_expand
+from edmc.dualbasis import w_coeffs
 from edmc.geometry import truncated_gram
 from edmc.manifold import (RankCollapseError, TangentVector, project_tangent,
                            project_w_expansion, retract_structured)
 from edmc.sampling import bernoulli_sample
 
-from conftest import random_centered_symmetric, random_factored_gram
+from conftest import expand, random_centered_symmetric, random_factored_gram
 
 
 def dense_projection(u, y):
@@ -45,7 +45,7 @@ class TestProjectTangent:
         pairs = bernoulli_sample(12, 0.5, seed=7)
         g = np.random.default_rng(8).standard_normal(len(pairs))
         t = project_w_expansion(fg, g, pairs)
-        dense = dense_projection(fg.U, w_expand(g, pairs).toarray())
+        dense = dense_projection(fg.U, expand(g, pairs))
         assert np.abs(t.matrix() - dense).max() <= 1e-11
 
     def test_accepts_sparse_input(self):

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from edmc import sampling
 from edmc.geometry import distances_from_gram, gram_from_points
-from edmc.sampling import (OBSERVE_BLOCK, SAMPLE_BLOCK, NoiseSpec, PairSet,
+from edmc.sampling import (BLOCK_ELEMS, SAMPLE_BLOCK, NoiseSpec, PairSet,
                            SampledDistances, bernoulli_sample, degrees_of_freedom,
                            observe, observe_points, oversampling_ratio, pair_count,
                            perturb_points, probability_for_ratio, rng_from_seed)
@@ -177,7 +178,7 @@ class TestObservePoints:
     @pytest.mark.parametrize("noisy", [False, True])
     def test_one_block_is_bitwise_the_dense_path(self, kind, d, noisy):
         n = 150
-        assert OBSERVE_BLOCK // n >= n
+        assert BLOCK_ELEMS // n >= n
         points = _cloud(kind, d, n, noisy)
         gram = gram_from_points(points)
         for pairs in _pair_sets(n):
@@ -193,7 +194,7 @@ class TestObservePoints:
         # some last bits (up to 3 ulp of the largest value were seen)
         n = 700
         points = _cloud(kind, d, n, noisy=kind == "unit_ball_uniform")
-        monkeypatch.setattr(sampling, "OBSERVE_BLOCK", rows * n)
+        monkeypatch.setattr(sampling, "BLOCK_ELEMS", rows * n)
         for pairs in _pair_sets(n):
             dense = observe(gram_from_points(points), pairs).values
             blocked = observe_points(points, pairs).values
@@ -299,6 +300,15 @@ class TestSampledDistancesIO:
         assert rows[1].startswith("1,2,")
         sidecar = json.loads((tmp_path / "d.json").read_text())
         assert sidecar["n"] == 2
+
+    @pytest.mark.parametrize("row", ["3,4", "1,3,abc", "x,3,1.0", "1.5,3,1.0"])
+    def test_malformed_row_names_path_and_line(self, tmp_path, row):
+        path = tmp_path / "d.csv"
+        path.write_text(f"i,j,d\n1,2,4.0\n{row}\n2,3,1.0\n")
+        path.with_suffix(".json").write_text(json.dumps({"n": 3, "p": None, "seed": None}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3:")) as info:
+            SampledDistances.load(path)
+        assert repr(row) in str(info.value)
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):

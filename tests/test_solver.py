@@ -122,6 +122,20 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(prob, x0=truncated_gram(truth, 3))
 
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_truth_of_another_size_rejected_before_init(self, factored, monkeypatch):
+        prob, _, _ = make_problem(30, 3, 0.5, seed=13)
+        truth = gram_from_points(generate(DatasetSpec("sphere_surface", n=31, r=3, seed=13)))
+        if factored:
+            truth = truncated_gram(truth, 3)
+
+        def no_init(problem):
+            raise AssertionError("the init ran before the truth was checked")
+
+        monkeypatch.setattr(solver_module, "init_one_step", no_init)
+        with pytest.raises(ValueError, match="n=31 .* n=30"):
+            solve(prob, config=SolverConfig(truth=truth))
+
     def test_iterates_stay_centered(self):
         prob, truth, _ = make_problem(60, 3, 0.5, seed=9)
         result = solve(prob, config=SolverConfig(truth=truth))

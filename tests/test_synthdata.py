@@ -62,8 +62,7 @@ class TestSwissRoll:
             generate(DatasetSpec("swiss_roll", n=20, r=2, seed=0))
 
     def test_radial_profile(self):
-        spec = DatasetSpec("swiss_roll", n=500, r=3, seed=3, swiss_turns=1.5,
-                           swiss_height=21.0)
+        spec = DatasetSpec("swiss_roll", n=500, r=3, seed=3)
         points = generate(spec)
         # height spread matches the slab parameter after centering
         heights = points[:, 1]
