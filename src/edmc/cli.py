@@ -24,7 +24,8 @@ from .experiments import (ExperimentConfig, GRID_CSV_COLUMNS, grid_rows, run_gri
 from .geometry import (FactoredGram, factored_gram_from_points, procrustes_error,
                        read_points_csv, write_points_csv)
 from .sampling import SampledDistances, bernoulli_sample, observe_points
-from .solver import (Problem, SolverConfig, init_one_step, recover_points, solve)
+from .solver import (CHANGE_TOL_MODES, GRADIENT_OPS, Problem, SolverConfig,
+                     init_one_step, recover_points, solve)
 from .synthdata import DatasetSpec, generate
 
 
@@ -34,7 +35,9 @@ def _config_hash(payload):
 
 
 def output_meta(payload, seed):
-    """Provenance block ``{config_hash, seed, version}`` embedded in outputs."""
+    """Provenance block ``{config_hash, seed, version}`` embedded in outputs.
+    The hash leaves out callables (a handler's text holds a memory address)."""
+    payload = {k: v for k, v in payload.items() if not callable(v)}
     return {"config_hash": _config_hash(payload), "seed": seed, "version": __version__}
 
 
@@ -68,8 +71,7 @@ def cmd_generate(args):
     spec = DatasetSpec(kind=args.kind, n=args.n, r=args.r, seed=args.seed,
                        path=args.points_file)
     points = generate(spec)
-    meta = output_meta(vars(args), args.seed)
-    write_points_csv(args.out, points, meta=meta)
+    write_points_csv(args.out, points, meta=output_meta(vars(args), args.seed))
     return 0
 
 
@@ -82,33 +84,23 @@ def cmd_sample(args):
     return 0
 
 
-def _load_problem(args):
-    data = SampledDistances.load(args.data)
-    return Problem(data, rank=args.r, p=getattr(args, "p", None))
-
-
 def cmd_init(args):
-    problem = _load_problem(args)
+    problem = Problem(SampledDistances.load(args.data), rank=args.r)
     gram = init_one_step(problem)
     _save_gram_json(args.out, gram, output_meta(vars(args), problem.data.seed))
     return 0
 
 
 def cmd_solve(args):
-    problem = _load_problem(args)
-    truth = None
-    truth_points = None
+    problem = Problem(SampledDistances.load(args.data), rank=args.r)
+    truth = truth_points = None
     if args.truth:
         truth_points = read_points_csv(args.truth)
         truth_points = truth_points - truth_points.mean(axis=0)
         truth = factored_gram_from_points(truth_points)
-    config = SolverConfig(max_iters=args.max_iters, change_tol=args.tol,
-                          change_tol_mode=args.tol_mode,
-                          gradient_op=args.gradient_op, truth=truth)
     x0 = _load_gram_json(args.init) if args.init else None
-    result = solve(problem, x0=x0, config=config)
-    meta = output_meta({k: v for k, v in vars(args).items() if k != "func"},
-                 problem.data.seed)
+    result = solve(problem, x0=x0, config=_solver_config(args), truth=truth)
+    meta = output_meta(vars(args), problem.data.seed)
     if args.out_trace:
         result.trace.save_jsonl(args.out_trace)
     if args.out_gram:
@@ -129,6 +121,11 @@ def cmd_solve(args):
     return 0
 
 
+def _solver_config(args):
+    return SolverConfig(max_iters=args.max_iters, change_tol=args.tol,
+                        change_tol_mode=args.tol_mode, gradient_op=args.gradient_op)
+
+
 def cmd_diagnose(args):
     if args.gram:
         gram = _load_gram_json(args.gram)
@@ -145,7 +142,7 @@ def cmd_diagnose(args):
         gram = FactoredGram(cloud.U[:, :args.r], cloud.eigs[:args.r])
     report = incoherence(gram, cross_terms=not args.no_cross_terms)
     payload = json.loads(report.to_json())
-    payload["_meta"] = output_meta({k: v for k, v in vars(args).items() if k != "func"}, None)
+    payload["_meta"] = output_meta(vars(args), None)
     _write_json(args.out, payload)
     print(report.to_json())
     return 0
@@ -179,13 +176,13 @@ _GRID_TYPES = {
 }
 
 
-def _config_section(cls, raw, section, exclude=()):
+def _config_section(cls, raw, section):
     """``raw`` checked key by key against the fields of ``cls``: every key
     must name a field, every field without a default must be given, and
     every value must have its field's type."""
     if not isinstance(raw, dict):
         raise ValueError(f"{section} of a grid config must be a JSON object")
-    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in exclude}
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     for key in raw:
         if key not in fields:
             raise ValueError(f"unknown key {key!r} in {section} of the grid config; "
@@ -218,9 +215,7 @@ def _experiment_config_from_json(path, overrides):
     top = _config_section(ExperimentConfig, raw, "the top level")
     top["dataset"] = DatasetSpec(**_config_section(DatasetSpec, top["dataset"], "dataset"))
     if "solver" in top:
-        # the truth is each trial's own cloud
-        top["solver"] = SolverConfig(**_config_section(SolverConfig, top["solver"], "solver",
-                                                       exclude=("truth",)))
+        top["solver"] = SolverConfig(**_config_section(SolverConfig, top["solver"], "solver"))
     return ExperimentConfig(**top), raw
 
 
@@ -277,10 +272,11 @@ def build_parser():
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--init", default=None, help="factored-gram JSON starting point")
     p.add_argument("--truth", default=None, help="ground-truth points CSV for diagnostics")
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--tol-mode", default="relative", choices=["relative", "absolute"])
-    p.add_argument("--gradient-op", default="normal", choices=["normal", "debiased"])
+    defaults = SolverConfig()
+    p.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    p.add_argument("--tol", type=float, default=defaults.change_tol)
+    p.add_argument("--tol-mode", default=defaults.change_tol_mode, choices=CHANGE_TOL_MODES)
+    p.add_argument("--gradient-op", default=defaults.gradient_op, choices=GRADIENT_OPS)
     p.add_argument("--out-trace", default=None)
     p.add_argument("--out-gram", default=None)
     p.add_argument("--out-points", default=None)
@@ -288,8 +284,9 @@ def build_parser():
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("diagnose", help="incoherence report for points or a gram")
-    p.add_argument("--points", default=None)
-    p.add_argument("--gram", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--points", help="point cloud CSV")
+    source.add_argument("--gram", help="factored-gram JSON")
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--no-cross-terms", action="store_true")
     p.add_argument("--out", required=True)

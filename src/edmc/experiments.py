@@ -154,8 +154,7 @@ def run_trial(dataset: DatasetSpec, cell: GridCell, seed: int,
         pairs = bernoulli_sample(points.shape[0], cell.p, seed)
         data = observe_points(observed_points, pairs, p=cell.p, seed=seed)
         problem = Problem(data, rank=cell.r)
-        config = replace(solver_config, truth=truth)
-        result: SolveResult = solve(problem, config=config)
+        result: SolveResult = solve(problem, config=solver_config, truth=truth)
         rec = result.trace.records[-1]
         rel = rec.rel_truth_error
         return TrialResult(float(rel), len(result.trace.records),

@@ -31,8 +31,7 @@ import numpy as np
 from scipy.sparse.linalg import eigsh, ArpackNoConvergence
 
 from . import dualbasis as db
-from .geometry import (FactoredGram, gram_frobenius_error, magnitude_order,
-                       truncated_gram)
+from .geometry import FactoredGram, gram_frobenius_error, magnitude_order
 from .manifold import (TangentVector, RankCollapseError, project_w_expansion,
                        retract_structured)
 from .sampling import PairSet, SampledDistances
@@ -47,6 +46,12 @@ class DegenerateStepError(RuntimeError):
 
 
 GRADIENT_OPS = ("normal", "debiased")
+CHANGE_TOL_MODES = ("relative", "absolute")
+
+#: :func:`init_one_step` runs a dense ``eigh`` up to this n and Lanczos above
+DENSE_INIT_MAX_N = 400
+#: eps of the de-biased step interval :func:`step_size` flags (Wei et al., SIMAX 2016)
+STEP_FLAG_EPS = 1.0 / 22.0
 
 #: a run with a truth stops as ``diverged`` once its error exceeds this
 #: multiple of the starting error
@@ -55,23 +60,25 @@ DIVERGENCE_FACTOR = 1e3
 
 @dataclass(frozen=True)
 class Problem:
-    """Completion instance: observed distances, target rank, fill probability."""
+    """Completion instance: observed distances and target rank.  The fill
+    probability ``p`` is the sample's own (drawn with, or else empirical)."""
 
     data: SampledDistances
     rank: int
-    p: float | None = None
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
-        p = self.p if self.p is not None else self.data.fill_probability()
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"fill probability {p} outside (0, 1]")
-        object.__setattr__(self, "p", float(p))
+        if not 0.0 < self.p <= 1.0:
+            raise ValueError(f"fill probability {self.p} outside (0, 1]")
 
     @property
     def n(self):
         return self.data.n
+
+    @property
+    def p(self):
+        return self.data.fill_probability()
 
 
 @dataclass(frozen=True)
@@ -90,15 +97,14 @@ class SolverConfig:
     change_tol: float = 1e-5
     change_tol_mode: str = "relative"
     gradient_op: str = "normal"
-    truth: object = None  # optional ground-truth Gram (dense or FactoredGram)
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.change_tol <= 0:
             raise ValueError("change_tol must be positive")
-        if self.change_tol_mode not in ("relative", "absolute"):
-            raise ValueError("change_tol_mode must be 'relative' or 'absolute'")
+        if self.change_tol_mode not in CHANGE_TOL_MODES:
+            raise ValueError(f"change_tol_mode must be one of {CHANGE_TOL_MODES}")
         if self.gradient_op not in GRADIENT_OPS:
             raise ValueError(f"gradient_op must be one of {GRADIENT_OPS}")
 
@@ -169,20 +175,20 @@ def _gradient_coeffs(c, pairs, p, mode):
     return db.rstar_r_coeffs(c, pairs)
 
 
-def init_one_step(problem: Problem, dense_cutoff=400) -> FactoredGram:
+def init_one_step(problem: Problem) -> FactoredGram:
     """One-step hard-thresholding initialization.
 
     Scales the rank-r truncation of the oblique sampler image by 1/p:
     ``X_0 = (1/p) H_r(-1/2 J P_O(D) J)``.  Uses a dense eigendecomposition
-    below ``dense_cutoff`` points and a matrix-free Lanczos solve above,
-    both with deterministic selection of the r largest-magnitude
+    up to :data:`DENSE_INIT_MAX_N` points and a matrix-free Lanczos solve
+    above, both with deterministic selection of the r largest-magnitude
     eigenvalues.
     """
     data, r, p = problem.data, problem.rank, problem.p
     n = data.n
     if data.m == 0:
         raise DegenerateInitError("no observed distances")
-    if n <= dense_cutoff:
+    if n <= DENSE_INIT_MAX_N:
         dense = db.r_omega_apply(data.values, data.pairs)
         eigvals, eigvecs = np.linalg.eigh(dense)
         order = magnitude_order(eigvals)[:r]
@@ -206,15 +212,15 @@ def init_one_step(problem: Problem, dense_cutoff=400) -> FactoredGram:
 
 
 def step_size(tangent_g: TangentVector, pairs: PairSet, p,
-              gradient_op="normal", flag_eps=1.0 / 22.0, dU=None):
+              gradient_op="normal", dU=None):
     """Exact step-size quotient ``<T, T> / <T, A(T)>`` for a projected
     gradient direction T, with A the ``gradient_op`` operator.
 
     Returns ``(alpha, flagged)``.  The quotient is scale invariant in the
     tangent vector.  For the de-biased operator the restricted-isometry
-    analysis confines the step to ``[p^-2/(1+4*eps), p^-2/(1-4*eps)]``;
-    ``flagged`` reports an excursion outside that interval (it stays False
-    for the normal operator, whose natural scale differs).  A zero or
+    analysis confines the step to ``[p^-2/(1+4*eps), p^-2/(1-4*eps)]``,
+    eps = :data:`STEP_FLAG_EPS`; ``flagged`` reports an excursion outside
+    it (never for the normal operator, whose natural scale differs).  A zero or
     non-finite quotient term raises :class:`DegenerateStepError`.
     ``dU`` is the base's ``pairs.incidence @ U`` when the caller has it.
     """
@@ -233,37 +239,31 @@ def step_size(tangent_g: TangentVector, pairs: PairSet, p,
     alpha = num / denom
     flagged = False
     if gradient_op == "debiased":
-        lo = p**-2 / (1.0 + 4.0 * flag_eps)
-        hi = p**-2 / (1.0 - 4.0 * flag_eps) if 4.0 * flag_eps < 1.0 else np.inf
+        lo = p**-2 / (1.0 + 4.0 * STEP_FLAG_EPS)
+        hi = p**-2 / (1.0 - 4.0 * STEP_FLAG_EPS)
         flagged = not (lo <= alpha <= hi)
     return alpha, flagged
 
 
-def _truth_error_fn(truth, rank, n):
+def _truth_error_fn(truth, n):
     if truth is None:
         return None
-    truth_n = truth.n if isinstance(truth, FactoredGram) else np.shape(truth)[0]
-    if truth_n != n:
-        raise ValueError(f"the truth has n={truth_n} points but the sample has n={n}")
     if not isinstance(truth, FactoredGram):
-        # exactly rank-r truths get the precise factored comparison path
-        dense = np.asarray(truth, dtype=float)
-        candidate = truncated_gram(dense, rank)
-        if gram_frobenius_error(candidate, dense) <= 1e-12 * np.linalg.norm(dense):
-            truth = candidate
-        else:
-            norm = float(np.linalg.norm(dense))
-            return lambda fg: gram_frobenius_error(fg, dense) / norm
+        raise TypeError(f"the truth must be a FactoredGram, not {type(truth).__name__}")
+    if truth.n != n:
+        raise ValueError(f"the truth has n={truth.n} points but the sample has n={n}")
     norm = truth.norm_fro()
-    fixed = truth
-    return lambda fg: gram_frobenius_error(fg, fixed) / norm
+    return lambda fg: gram_frobenius_error(fg, truth) / norm
 
 
 def solve(problem: Problem, x0: FactoredGram | None = None,
-          config: SolverConfig | None = None) -> SolveResult:
-    """Run the manifold descent from ``x0`` (one-step init when omitted)."""
+          config: SolverConfig | None = None,
+          truth: FactoredGram | None = None) -> SolveResult:
+    """Run the manifold descent from ``x0`` (one-step init when omitted).
+    ``truth``, a :class:`FactoredGram`, fills ``rel_truth_error`` and arms the
+    ``diverged`` stop; another type or point count fails before the init."""
     config = config or SolverConfig()
-    truth_err = _truth_error_fn(config.truth, problem.rank, problem.data.n)
+    truth_err = _truth_error_fn(truth, problem.data.n)
     if x0 is None:
         x0 = init_one_step(problem)
     if x0.r != problem.rank:

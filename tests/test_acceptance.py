@@ -169,7 +169,8 @@ def test_criterion_04_recovery_table_at_paper_scale():
         errs = []
         for seed in range(5):
             problem, truth = sphere_instance(1002, 3, p, seed)
-            result = solve(problem, config=SolverConfig(truth=truth, **config_proto))
+            result = solve(problem, config=SolverConfig(**config_proto),
+                           truth=truncated_gram(truth, 3))
             errs.append(result.trace.records[-1].rel_truth_error)
         med = float(np.median(errs))
         ok &= med <= target
@@ -178,7 +179,8 @@ def test_criterion_04_recovery_table_at_paper_scale():
     failures = 0
     for seed in range(5):
         problem, truth = sphere_instance(1002, 3, 0.01, seed)
-        result = solve(problem, config=SolverConfig(truth=truth, **config_proto))
+        result = solve(problem, config=SolverConfig(**config_proto),
+                       truth=truncated_gram(truth, 3))
         failures += result.trace.records[-1].rel_truth_error > 0.1
     ok &= failures >= 3
     lines.append(f"p=0.01: {failures}/5 failures (need >= 3)")
@@ -192,8 +194,8 @@ def test_criterion_05_linear_local_convergence():
     worst = 0.0
     for seed in range(20):
         problem, truth = sphere_instance(500, 3, 0.15, seed)
-        result = solve(problem, config=SolverConfig(
-            truth=truth, change_tol=1e-5, change_tol_mode="absolute"))
+        result = solve(problem, config=SolverConfig(change_tol=1e-5, change_tol_mode="absolute"),
+                       truth=truncated_gram(truth, 3))
         errs = [rec.rel_truth_error for rec in result.trace.records]
         ratios = [errs[k + 1] / errs[k] for k in range(len(errs) - 1)]
         tail = ratios[-20:]

@@ -18,11 +18,12 @@ from conftest import random_centered_symmetric, random_factored_gram
 
 
 def make_problem(n, r, p, seed, p_known=True):
+    """The problem, the truth's rank-r factored Gram, and the points."""
     points = generate(DatasetSpec("sphere_surface", n=n, r=r, seed=seed))
-    truth = gram_from_points(points)
+    gram = gram_from_points(points)
     pairs = bernoulli_sample(n, p, seed=seed + 1)
-    data = observe(truth, pairs, p=p if p_known else None, seed=seed + 1)
-    return Problem(data, rank=r), truth, points
+    data = observe(gram, pairs, p=p if p_known else None, seed=seed + 1)
+    return Problem(data, rank=r), truncated_gram(gram, r), points
 
 
 class TestProblem:
@@ -41,7 +42,7 @@ class TestInitOneStep:
     def test_exact_at_full_sampling(self):
         prob, truth, _ = make_problem(40, 3, 1.0, seed=1)
         x0 = init_one_step(prob)
-        rel = np.linalg.norm(x0.matrix() - truth) / np.linalg.norm(truth)
+        rel = np.linalg.norm(x0.matrix() - truth.matrix()) / truth.norm_fro()
         assert rel <= 1e-12
 
     def test_empty_observation_degenerate(self):
@@ -50,25 +51,27 @@ class TestInitOneStep:
         with pytest.raises(DegenerateInitError):
             init_one_step(Problem(empty, rank=2))
 
-    def test_dense_and_lanczos_paths_agree(self):
+    def test_dense_and_lanczos_paths_agree(self, monkeypatch):
         prob, truth, _ = make_problem(80, 3, 0.4, seed=3)
-        dense = init_one_step(prob, dense_cutoff=100)
-        lanczos = init_one_step(prob, dense_cutoff=10)
-        assert np.abs(dense.matrix() - lanczos.matrix()).max() <= 1e-7 * np.abs(truth).max()
+        monkeypatch.setattr(solver_module, "DENSE_INIT_MAX_N", 100)
+        dense = init_one_step(prob)
+        monkeypatch.setattr(solver_module, "DENSE_INIT_MAX_N", 10)
+        lanczos = init_one_step(prob)
+        assert (np.abs(dense.matrix() - lanczos.matrix()).max()
+                <= 1e-7 * np.abs(truth.matrix()).max())
 
     def test_scales_by_inverse_probability(self):
         prob, truth, _ = make_problem(60, 3, 0.5, seed=4)
         x0 = init_one_step(prob)
         # eigenvalue scale should land near the truth's, not p times it
-        assert x0.eigs[0] == pytest.approx(np.linalg.eigvalsh(truth)[-1], rel=0.5)
+        assert x0.eigs[0] == pytest.approx(truth.eigs.max(), rel=0.5)
 
 
 class TestSolve:
     def test_fixed_point_at_truth(self):
         # iterate matching the observed coefficients exactly: zero gradient,
         # immediate convergence
-        prob, truth, _ = make_problem(25, 2, 1.0, seed=5)
-        x0 = truncated_gram(truth, 2)
+        prob, x0, _ = make_problem(25, 2, 1.0, seed=5)
         from edmc.dualbasis import w_coeffs_factored
         from edmc.sampling import SampledDistances
 
@@ -77,8 +80,7 @@ class TestSolve:
             w_coeffs_factored(x0.U, x0.eigs, prob.data.pairs),
             p=1.0,
         )
-        result = solve(Problem(exact, rank=2), x0=x0,
-                       config=SolverConfig(truth=x0.matrix()))
+        result = solve(Problem(exact, rank=2), x0=x0, truth=x0)
         assert result.trace.status == "converged"
         assert len(result.trace.records) == 1
         rec = result.trace.records[0]
@@ -89,8 +91,7 @@ class TestSolve:
 
     def test_recovers_midscale_instance(self):
         prob, truth, points = make_problem(120, 2, 0.4, seed=6)
-        config = SolverConfig(truth=truth, change_tol_mode="absolute")
-        result = solve(prob, config=config)
+        result = solve(prob, config=SolverConfig(change_tol_mode="absolute"), truth=truth)
         assert result.trace.status == "converged"
         assert result.trace.records[-1].rel_truth_error <= 1e-6
         rec_points = recover_points(result.gram)
@@ -100,17 +101,16 @@ class TestSolve:
 
     def test_stopping_mode_controls_final_accuracy(self):
         prob, truth, _ = make_problem(120, 2, 0.4, seed=6)
-        rel = solve(prob, config=SolverConfig(truth=truth))
-        absolute = solve(prob, config=SolverConfig(truth=truth,
-                                                   change_tol_mode="absolute"))
+        rel = solve(prob, truth=truth)
+        absolute = solve(prob, config=SolverConfig(change_tol_mode="absolute"), truth=truth)
         assert rel.trace.records[-1].rel_truth_error <= 1e-4
         assert (absolute.trace.records[-1].rel_truth_error
                 < rel.trace.records[-1].rel_truth_error)
 
     def test_deterministic_trace(self):
         prob, truth, _ = make_problem(50, 3, 0.6, seed=7)
-        a = solve(prob, config=SolverConfig(truth=truth))
-        b = solve(prob, config=SolverConfig(truth=truth))
+        a = solve(prob, truth=truth)
+        b = solve(prob, truth=truth)
         assert len(a.trace.records) == len(b.trace.records)
         for ra, rb in zip(a.trace.records, b.trace.records):
             assert ra == rb
@@ -120,42 +120,48 @@ class TestSolve:
     def test_rank_mismatch_rejected(self):
         prob, truth, _ = make_problem(20, 2, 0.8, seed=8)
         with pytest.raises(ValueError):
-            solve(prob, x0=truncated_gram(truth, 3))
+            solve(prob, x0=truncated_gram(truth.matrix(), 3))
 
-    @pytest.mark.parametrize("factored", [False, True])
-    def test_truth_of_another_size_rejected_before_init(self, factored, monkeypatch):
-        prob, _, _ = make_problem(30, 3, 0.5, seed=13)
-        truth = gram_from_points(generate(DatasetSpec("sphere_surface", n=31, r=3, seed=13)))
-        if factored:
-            truth = truncated_gram(truth, 3)
-
+    @staticmethod
+    def _no_init(monkeypatch):
         def no_init(problem):
             raise AssertionError("the init ran before the truth was checked")
 
         monkeypatch.setattr(solver_module, "init_one_step", no_init)
+
+    def test_truth_of_another_size_rejected_before_init(self, monkeypatch):
+        prob, _, _ = make_problem(30, 3, 0.5, seed=13)
+        _, truth, _ = make_problem(31, 3, 0.5, seed=13)
+        self._no_init(monkeypatch)
         with pytest.raises(ValueError, match="n=31 .* n=30"):
-            solve(prob, config=SolverConfig(truth=truth))
+            solve(prob, truth=truth)
+
+    def test_dense_truth_rejected_before_init(self, monkeypatch):
+        prob, truth, _ = make_problem(30, 3, 0.5, seed=13)
+        self._no_init(monkeypatch)
+        with pytest.raises(TypeError, match="FactoredGram, not ndarray"):
+            solve(prob, truth=truth.matrix())
 
     def test_iterates_stay_centered(self):
         prob, truth, _ = make_problem(60, 3, 0.5, seed=9)
-        result = solve(prob, config=SolverConfig(truth=truth))
+        result = solve(prob, truth=truth)
         assert np.abs(result.gram.U.sum(axis=0)).max() <= 1e-6
 
     def test_debiased_mode_runs_when_well_sampled(self):
         prob, truth, _ = make_problem(40, 2, 0.9, seed=10)
-        result = solve(prob, config=SolverConfig(truth=truth, gradient_op="debiased",
-                                                 max_iters=200))
+        result = solve(prob, config=SolverConfig(gradient_op="debiased", max_iters=200),
+                       truth=truth)
         assert result.trace.status in ("converged", "max_iters")
 
     def test_max_iters_status(self):
         prob, truth, _ = make_problem(60, 3, 0.35, seed=11)
-        result = solve(prob, config=SolverConfig(truth=truth, max_iters=2))
+        result = solve(prob, config=SolverConfig(max_iters=2), truth=truth)
         assert result.trace.status == "max_iters"
         assert len(result.trace.records) == 2
 
     def test_trace_jsonl_round_trip(self, tmp_path):
         prob, truth, _ = make_problem(30, 2, 0.7, seed=12)
-        result = solve(prob, config=SolverConfig(truth=truth))
+        result = solve(prob, truth=truth)
         path = tmp_path / "trace.jsonl"
         result.trace.save_jsonl(path)
         lines = [json.loads(line) for line in path.read_text().splitlines()]
@@ -170,8 +176,8 @@ class TestTracedFlags:
         # above the interval's upper end p^-2 / (1 - 4/22) = 1.22 p^-2
         p = 0.5
         prob, truth, _ = make_problem(80, 2, p, seed=3)
-        result = solve(prob, config=SolverConfig(truth=truth, gradient_op="debiased",
-                                                 max_iters=200))
+        result = solve(prob, config=SolverConfig(gradient_op="debiased", max_iters=200),
+                       truth=truth)
         assert result.trace.status == "converged"
         lo, hi = p**-2 / (1.0 + 4.0 / 22.0), p**-2 / (1.0 - 4.0 / 22.0)
         flags = [rec.step_flagged for rec in result.trace.records]
@@ -185,7 +191,7 @@ class TestTracedFlags:
 
     def test_normal_mode_never_flags(self):
         prob, truth, _ = make_problem(60, 3, 0.35, seed=11)
-        result = solve(prob, config=SolverConfig(truth=truth, max_iters=20))
+        result = solve(prob, config=SolverConfig(max_iters=20), truth=truth)
         assert not any(rec.step_flagged for rec in result.trace.records)
 
     def test_boundary_tie_taken_from_retracted_iterate(self, monkeypatch):
@@ -199,7 +205,7 @@ class TestTracedFlags:
 
         monkeypatch.setattr(solver_module, "retract_structured", tie_on_second)
         prob, truth, _ = make_problem(60, 3, 0.35, seed=11)
-        result = solve(prob, config=SolverConfig(truth=truth, max_iters=4))
+        result = solve(prob, config=SolverConfig(max_iters=4), truth=truth)
         assert [rec.boundary_tie for rec in result.trace.records] == [False, True, False, False]
 
 
@@ -209,7 +215,8 @@ class TestOneIterationOracle:
     @pytest.mark.parametrize("mode", ["normal", "debiased"])
     def test_matches_dense_iteration(self, mode):
         n, r, p = 12, 2, 0.7
-        prob, truth, _ = make_problem(n, r, p, seed=21)
+        prob, _, points = make_problem(n, r, p, seed=21)
+        truth = gram_from_points(points)
         pairs = prob.data.pairs
         x0 = random_factored_gram(n, r, seed=22)
         result = solve(prob, x0=x0, config=SolverConfig(max_iters=1, gradient_op=mode))
@@ -247,13 +254,13 @@ class TestStepSize:
         assert a2 == pytest.approx(a1, rel=1e-12)
 
     def test_debiased_quotient_concentrates(self):
-        # well-sampled regime: the quotient stays in [p^-2/2, 2 p^-2]
+        # well-sampled regime: the quotient stays in the step interval at
+        # eps = 1/8, [p^-2/(1+4/8), p^-2/(1-4/8)]
+        p = 0.5
         for seed in range(50):
-            t, prob = self._tangent_instance(100, 2, 0.5, seed=100 + seed)
-            alpha, flagged = step_size(t, prob.data.pairs, 0.5, gradient_op="debiased",
-                                       flag_eps=1.0 / 8.0)
-            assert 0.5 * 0.5**-2 <= alpha <= 2.0 * 0.5**-2
-            assert not flagged
+            t, prob = self._tangent_instance(100, 2, p, seed=100 + seed)
+            alpha, _ = step_size(t, prob.data.pairs, p, gradient_op="debiased")
+            assert p**-2 / (1.0 + 4.0 / 8.0) <= alpha <= p**-2 / (1.0 - 4.0 / 8.0)
 
     def test_supplied_dU_changes_no_bit(self):
         t, prob = self._tangent_instance(60, 3, 0.4, seed=16)
@@ -348,6 +355,6 @@ class TestPaperScaleExamples:
         truth = gram_from_points(points)
         pairs = bernoulli_sample(2048, 0.02, seed=1)
         data = observe(truth, pairs, p=0.02, seed=1)
-        result = solve(Problem(data, rank=3),
-                       config=SolverConfig(truth=truth, change_tol=1e-7))
+        result = solve(Problem(data, rank=3), config=SolverConfig(change_tol=1e-7),
+                       truth=truncated_gram(truth, 3))
         assert result.trace.records[-1].rel_truth_error <= 1e-4
