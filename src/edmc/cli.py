@@ -133,13 +133,17 @@ def cmd_diagnose(args):
             gram.validate()
         except ValueError as exc:
             raise ValueError(f"--gram {args.gram}: {exc}") from exc
+        if args.r is not None and args.r != gram.r:
+            raise ValueError(f"--r {args.r} differs from the rank {gram.r} "
+                             f"of the factor in --gram {args.gram}")
     else:
+        r = 3 if args.r is None else args.r
         points = read_points_csv(args.points)
         cloud = factored_gram_from_points(points - points.mean(axis=0))
-        if args.r > cloud.r:
-            raise ValueError(f"--r {args.r} exceeds the point cloud's dimension {cloud.r}")
+        if r > cloud.r:
+            raise ValueError(f"--r {r} exceeds the point cloud's dimension {cloud.r}")
         # the thin SVD orders the columns by singular value: the top-r factor
-        gram = FactoredGram(cloud.U[:, :args.r], cloud.eigs[:args.r])
+        gram = FactoredGram(cloud.U[:, :r], cloud.eigs[:r])
     report = incoherence(gram, cross_terms=not args.no_cross_terms)
     payload = json.loads(report.to_json())
     payload["_meta"] = output_meta(vars(args), None)
@@ -287,7 +291,8 @@ def build_parser():
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--points", help="point cloud CSV")
     source.add_argument("--gram", help="factored-gram JSON")
-    p.add_argument("--r", type=int, default=3)
+    p.add_argument("--r", type=int, default=None,
+                   help="rank: 3 by default with --points; with --gram, the factor's")
     p.add_argument("--no-cross-terms", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_diagnose)

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.linalg import LinearOperator
 
 from .sampling import PairSet, pair_count
 
@@ -232,7 +231,10 @@ def r_omega_apply(coeffs, pairs: PairSet):
 
 
 def r_omega_operator(coeffs, pairs: PairSet):
-    """Matrix-free ``-1/2 J P_O(D) J`` with O(m + n) matvecs."""
+    """Matrix-free ``-1/2 J P_O(D) J`` with O(m + n) matvecs.  Only the
+    Lanczos init calls it, so ``scipy.sparse.linalg`` is imported here."""
+    from scipy.sparse.linalg import LinearOperator
+
     n = pairs.n
     ii, jj = pairs.ii, pairs.jj
     ends = np.concatenate([ii, jj])

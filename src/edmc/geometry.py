@@ -17,7 +17,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import orthogonal_procrustes
 
 
 class NotEmbeddableError(ValueError):
@@ -243,15 +242,20 @@ def procrustes_error(a, b):
     """Residual ``min_Q ||A - B Q||_F`` over orthogonal Q, after centering.
 
     Evaluation up to rigid motion: both clouds are centered, then the
-    orthogonal Procrustes problem is solved in closed form.
+    orthogonal Procrustes problem is solved in closed form: Q = U V^T from
+    the SVD of ``(A^T B)^T``, the product ``scipy.linalg.orthogonal_procrustes``
+    decomposes with the same LAPACK driver (gesdd).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    _check_finite(a, "a")
+    _check_finite(b, "b")
     a = a - a.mean(axis=0)
     b = b - b.mean(axis=0)
-    q, _ = orthogonal_procrustes(b, a)
+    u, _, vt = np.linalg.svd((a.T @ b).T)
+    q = u @ vt
     return float(np.linalg.norm(a - b @ q))
 
 

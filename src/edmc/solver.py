@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.sparse.linalg import eigsh, ArpackNoConvergence
 
 from . import dualbasis as db
 from .geometry import FactoredGram, gram_frobenius_error, magnitude_order
@@ -194,6 +193,9 @@ def init_one_step(problem: Problem) -> FactoredGram:
         order = magnitude_order(eigvals)[:r]
         lam, vecs = eigvals[order], eigvecs[:, order]
     else:
+        # ARPACK loads here, so a process that never runs this branch never loads it
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
         op = db.r_omega_operator(data.values, data.pairs)
         v0 = np.arange(n) - (n - 1) / 2.0
         v0 /= np.linalg.norm(v0)

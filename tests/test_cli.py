@@ -210,6 +210,16 @@ class TestDiagnosePoints:
         assert not out.exists()
         assert "--points" in capsys.readouterr().err
 
+    def test_rank_defaults_to_three(self, cloud, tmp_path):
+        _, path = cloud
+        reports = []
+        for rank in ([], ["--r", "3"]):
+            out = tmp_path / f"c{len(reports)}.json"
+            assert run_cli(["diagnose", "--points", str(path), *rank, "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            reports.append({k: v for k, v in report.items() if k != "_meta"})
+        assert reports[0] == reports[1]
+
     def test_rank_above_dimension_names_both(self, cloud, tmp_path, capsys):
         _, path = cloud
         code = run_cli(["diagnose", "--points", str(path), "--r", "5",
@@ -233,6 +243,20 @@ class TestDiagnoseGram:
         out = pipeline_dir / "coherence.json"
         assert run_cli(["diagnose", "--gram", str(init), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["nu"] > 0
+
+    def test_rank_other_than_the_factors_names_both(self, pipeline_dir, capsys):
+        init = pipeline_dir / "init.json"
+        assert run_cli(["init", "--data", str(pipeline_dir / "dist.csv"), "--r", "3",
+                        "--out", str(init)]) == 0
+        out = pipeline_dir / "coherence.json"
+        assert run_cli(["diagnose", "--gram", str(init), "--r", "3", "--out", str(out)]) == 0
+        out.unlink()
+        capsys.readouterr()
+        code = run_cli(["diagnose", "--gram", str(init), "--r", "7", "--out", str(out)])
+        assert code == 2 and not out.exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ValueError"
+        assert "--r 7" in err["error"] and "rank 3" in err["error"]
 
     @pytest.mark.parametrize("defect,cause", [("scaled", "not orthonormal"),
                                               ("shifted", "not centered")])

@@ -203,6 +203,26 @@ class TestProcrustes:
         with pytest.raises(ValueError):
             procrustes_error(np.zeros((3, 2)), np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_is_named(self, bad):
+        a = np.ones((4, 2))
+        a[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            procrustes_error(np.ones((4, 2)), a)
+
+    @pytest.mark.parametrize("seed,n,r", [(0, 5, 1), (1, 12, 2), (2, 40, 3), (3, 100, 6)])
+    def test_matches_scipy_orthogonal_procrustes(self, seed, n, r):
+        from scipy.linalg import orthogonal_procrustes
+
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, r)) + 3.0
+        q = np.linalg.qr(rng.standard_normal((r, r)))[0]
+        b = a @ q + 0.1 * rng.standard_normal((n, r))
+        a0, b0 = center_points(a), center_points(b)
+        rotation, _ = orthogonal_procrustes(b0, a0)
+        reference = np.linalg.norm(a0 - b0 @ rotation)
+        assert procrustes_error(a, b) == pytest.approx(reference, rel=1e-12)
+
 
 class TestFactoredGram:
     def test_magnitude_order_with_ties(self):
