@@ -2,8 +2,9 @@
 
 Pipelines compose as ``generate -> sample -> init -> solve -> diagnose``;
 ``grid`` runs seeded experiment grids to a plot-ready CSV.  Every output
-embeds ``{config hash, seed, version}``; errors exit nonzero with a
-machine-readable JSON object on stderr.
+embeds ``{config hash, seed, version}`` and the machine it ran under (see
+:func:`output_meta`); errors exit nonzero with a machine-readable JSON
+object on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -34,11 +36,19 @@ def _config_hash(payload):
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+#: environment variables that set the BLAS thread count, which past about
+#: n=1500 changes how a trace rounds
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def output_meta(payload, seed):
-    """Provenance block ``{config_hash, seed, version}`` embedded in outputs.
-    The hash leaves out callables (a handler's text holds a memory address)."""
+    """Provenance block ``{config_hash, seed, version}`` embedded in outputs,
+    with ``nproc`` and the :data:`THREAD_VARS` (null when unset), which the
+    hash leaves out.  The hash also leaves out callables (a handler's text
+    holds a memory address)."""
     payload = {k: v for k, v in payload.items() if not callable(v)}
-    return {"config_hash": _config_hash(payload), "seed": seed, "version": __version__}
+    return {"config_hash": _config_hash(payload), "seed": seed, "version": __version__,
+            "nproc": os.cpu_count(), **{var: os.environ.get(var) for var in THREAD_VARS}}
 
 
 def _write_json(path, payload):
@@ -81,6 +91,11 @@ def cmd_sample(args):
     pairs = bernoulli_sample(points.shape[0], args.p, args.seed)
     data = observe_points(points, pairs, p=args.p, seed=args.seed)
     data.save(args.out)
+    # the JSON sidecar carries the provenance block too
+    sidecar = Path(args.out).with_suffix(".json")
+    payload = json.loads(sidecar.read_text())
+    payload["_meta"] = output_meta(vars(args), args.seed)
+    sidecar.write_text(json.dumps(payload, sort_keys=True))
     return 0
 
 

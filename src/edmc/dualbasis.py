@@ -231,25 +231,20 @@ def r_omega_apply(coeffs, pairs: PairSet):
 
 
 def r_omega_operator(coeffs, pairs: PairSet):
-    """Matrix-free ``-1/2 J P_O(D) J`` with O(m + n) matvecs.  Only the
-    Lanczos init calls it, so ``scipy.sparse.linalg`` is imported here."""
-    from scipy.sparse.linalg import LinearOperator
-
+    """Matrix-free ``-1/2 J P_O(D) J``: a function of a vector x that applies
+    it in O(m + n), with the pair pattern as ``A_c x + A_c^T x`` on
+    :func:`pair_matrix` like every other O(m) operator."""
     n = pairs.n
-    ii, jj = pairs.ii, pairs.jj
-    ends = np.concatenate([ii, jj])
     c = np.asarray(coeffs, dtype=float)
-    s = pair_row_sums(c, pairs)
+    a = pair_matrix(c, pairs)
+    s = _row_sums(a)
     t = c.sum() * 2.0
 
     def matvec(x):
-        x = np.asarray(x, dtype=float).ravel()
-        # x times the off-diagonal pattern sum_a c_a (e_i e_j^T + e_j e_i^T)
-        sx = np.bincount(ends, weights=np.concatenate([c * x[jj], c * x[ii]]), minlength=n)
         xsum = x.sum()
-        return -0.5 * (sx - s * (xsum / n) - s @ x / n + t * xsum / n**2)
+        return -0.5 * (a @ x + a.T @ x - s * (xsum / n) - s @ x / n + t * xsum / n**2)
 
-    return LinearOperator((n, n), matvec=matvec, rmatvec=matvec, dtype=float)
+    return matvec
 
 
 def sum_v_squared(n):

@@ -49,6 +49,11 @@ CHANGE_TOL_MODES = ("relative", "absolute")
 
 #: :func:`init_one_step` runs a dense ``eigh`` up to this n and Lanczos above
 DENSE_INIT_MAX_N = 400
+#: the Lanczos init stops once every kept Ritz residual is at most this
+#: multiple of the largest Ritz value's magnitude
+LANCZOS_TOL = 1e-14
+#: and raises :class:`DegenerateInitError` after min(n, this) steps
+LANCZOS_MAX_STEPS = 300
 #: eps of the de-biased step interval :func:`step_size` flags (Wei et al., SIMAX 2016)
 STEP_FLAG_EPS = 1.0 / 22.0
 
@@ -174,14 +179,46 @@ def _gradient_coeffs(c, pairs, p, mode):
     return db.rstar_r_coeffs(c, pairs)
 
 
+def _lanczos_top(matvec, n, r):
+    """The r eigenpairs of largest magnitude, in :func:`magnitude_order`, of
+    the symmetric n x n operator ``matvec``: Lanczos from the centred ramp,
+    with full reorthogonalisation applied twice per step.  The Ritz values
+    are checked every 5 steps.  A breakdown (an invariant Krylov space)
+    stops with its exact Ritz pairs, which may number fewer than r."""
+    steps = min(n, LANCZOS_MAX_STEPS)
+    q = np.empty((steps + 1, n))
+    q[0] = np.arange(n) - (n - 1) / 2.0
+    q[0] /= np.linalg.norm(q[0])
+    alpha, beta = np.empty(steps), np.empty(steps)
+    for k in range(steps):
+        w = matvec(q[k])
+        scale = np.linalg.norm(w)
+        alpha[k] = q[k] @ w
+        for _ in range(2):
+            w -= q[:k + 1].T @ (q[:k + 1] @ w)
+        beta[k] = np.linalg.norm(w)
+        breakdown = beta[k] <= np.finfo(float).eps * scale or k + 1 == n
+        if breakdown or (k + 1) % 5 == 0 or k + 1 == steps:
+            t = np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+            theta, s = np.linalg.eigh(t)
+            keep = magnitude_order(theta)[:r]
+            residual = np.abs(beta[k] * s[-1, keep]).max()
+            if breakdown or (keep.size == r
+                             and residual <= LANCZOS_TOL * np.abs(theta).max()):
+                return theta[keep], q[:k + 1].T @ s[:, keep]
+        q[k + 1] = w / beta[k]
+    raise DegenerateInitError(f"Lanczos did not converge in {steps} steps "
+                              f"(largest Ritz residual {residual:.3g})")
+
+
 def init_one_step(problem: Problem) -> FactoredGram:
     """One-step hard-thresholding initialization.
 
     Scales the rank-r truncation of the oblique sampler image by 1/p:
     ``X_0 = (1/p) H_r(-1/2 J P_O(D) J)``.  Uses a dense eigendecomposition
-    up to :data:`DENSE_INIT_MAX_N` points and a matrix-free Lanczos solve
-    above, both with deterministic selection of the r largest-magnitude
-    eigenvalues.
+    up to :data:`DENSE_INIT_MAX_N` points and matrix-free Lanczos
+    (:func:`_lanczos_top`) above, both with deterministic selection of the
+    r largest-magnitude eigenvalues.
     """
     data, r, p = problem.data, problem.rank, problem.p
     n = data.n
@@ -193,20 +230,9 @@ def init_one_step(problem: Problem) -> FactoredGram:
         order = magnitude_order(eigvals)[:r]
         lam, vecs = eigvals[order], eigvecs[:, order]
     else:
-        # ARPACK loads here, so a process that never runs this branch never loads it
-        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
-        op = db.r_omega_operator(data.values, data.pairs)
-        v0 = np.arange(n) - (n - 1) / 2.0
-        v0 /= np.linalg.norm(v0)
-        try:
-            eigvals, eigvecs = eigsh(op, k=r, which="LM", v0=v0)
-        except ArpackNoConvergence as exc:
-            raise DegenerateInitError(f"sampled image eigensolve failed: {exc}") from exc
-        order = magnitude_order(eigvals)
-        lam, vecs = eigvals[order], eigvecs[:, order]
+        lam, vecs = _lanczos_top(db.r_omega_operator(data.values, data.pairs), n, r)
     scale = np.abs(lam).max() if lam.size else 0.0
-    if scale == 0.0 or np.abs(lam[-1]) <= 1e-12 * scale:
+    if lam.size < r or scale == 0.0 or np.abs(lam[-1]) <= 1e-12 * scale:
         raise DegenerateInitError(
             f"sampled image has numerical rank below the target rank {r}"
         )
@@ -263,13 +289,16 @@ def solve(problem: Problem, x0: FactoredGram | None = None,
           truth: FactoredGram | None = None) -> SolveResult:
     """Run the manifold descent from ``x0`` (one-step init when omitted).
     ``truth``, a :class:`FactoredGram`, fills ``rel_truth_error`` and arms the
-    ``diverged`` stop; another type or point count fails before the init."""
+    ``diverged`` stop; another type or point count fails before the init, and
+    an ``x0`` of another rank or point count before the loop."""
     config = config or SolverConfig()
     truth_err = _truth_error_fn(truth, problem.data.n)
     if x0 is None:
         x0 = init_one_step(problem)
     if x0.r != problem.rank:
         raise ValueError(f"x0 has rank {x0.r}, problem wants {problem.rank}")
+    if x0.n != problem.n:
+        raise ValueError(f"x0 has n={x0.n} points but the sample has n={problem.n}")
     pairs, d, p = problem.data.pairs, problem.data.values, problem.p
     mode = config.gradient_op
     trace = SolverTrace(data_norm=float(np.linalg.norm(d)))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from edmc.diagnostics import incoherence
 from edmc.experiments import ExperimentConfig
 from edmc.geometry import (gram_from_points, read_points_csv, truncated_gram,
                            write_points_csv)
-from edmc.sampling import bernoulli_sample, observe
+from edmc.sampling import SampledDistances, bernoulli_sample, observe
 from edmc.solver import SolverConfig
 from edmc.synthdata import DatasetSpec, generate
 
@@ -113,9 +114,46 @@ class TestPipeline:
         points = points - points.mean(axis=0)
         ref = pipeline_dir / "ref.csv"
         observe(gram_from_points(points), bernoulli_sample(60, 0.6, 5), p=0.6, seed=5).save(ref)
-        for suffix in (".csv", ".json"):
-            assert (pipeline_dir / "dist").with_suffix(suffix).read_bytes() == \
-                ref.with_suffix(suffix).read_bytes()
+        assert (pipeline_dir / "dist.csv").read_bytes() == ref.read_bytes()
+        # the sidecar adds only the provenance block
+        sidecar = json.loads((pipeline_dir / "dist.json").read_text())
+        assert sidecar.pop("_meta")["seed"] == 5
+        assert sidecar == json.loads(ref.with_suffix(".json").read_text())
+
+    def test_sample_sidecar_meta_records_the_machine(self, pipeline_dir):
+        meta = json.loads((pipeline_dir / "dist.json").read_text())["_meta"]
+        assert meta["version"] and meta["config_hash"] and meta["nproc"] >= 1
+        assert set(cli.THREAD_VARS) <= set(meta)
+        data = SampledDistances.load(pipeline_dir / "dist.csv")
+        assert data.n == 60 and data.p == 0.6 and data.seed == 5
+
+    def test_meta_records_thread_variables_outside_the_hash(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        pinned = cli.output_meta({"n": 5}, 0)
+        assert pinned["OPENBLAS_NUM_THREADS"] == "1" and pinned["MKL_NUM_THREADS"] == "2"
+        assert pinned["OMP_NUM_THREADS"] is None
+        assert pinned["nproc"] == os.cpu_count()
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        unpinned = cli.output_meta({"n": 5}, 0)
+        assert unpinned["OPENBLAS_NUM_THREADS"] is None
+        assert unpinned["config_hash"] == pinned["config_hash"]
+
+    def test_init_of_another_size_names_both_sizes(self, pipeline_dir, capsys):
+        d = pipeline_dir
+        assert run_cli(["generate", "--kind", "sphere_surface", "--n", "80", "--r", "3",
+                        "--seed", "4", "--out", str(d / "points80.csv")]) == 0
+        assert run_cli(["sample", "--points", str(d / "points80.csv"), "--p", "0.6",
+                        "--seed", "5", "--out", str(d / "dist80.csv")]) == 0
+        assert run_cli(["init", "--data", str(d / "dist.csv"), "--r", "3",
+                        "--out", str(d / "init60.json")]) == 0
+        code = run_cli(["solve", "--data", str(d / "dist80.csv"), "--r", "3",
+                        "--init", str(d / "init60.json")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ValueError"
+        assert "n=60" in err["error"] and "n=80" in err["error"]
 
     def test_solve_full_sampling_trivial(self, tmp_path):
         points = tmp_path / "p.csv"

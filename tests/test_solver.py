@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from edmc import solver as solver_module
-from edmc.geometry import FactoredGram, gram_from_points, truncated_gram
+from edmc.geometry import (FactoredGram, factored_gram_from_points, gram_from_points,
+                           gram_frobenius_error, magnitude_order, truncated_gram)
 from edmc.dualbasis import m_omega_dense, rstar_r_dense
 from edmc.manifold import project_tangent
-from edmc.sampling import PairSet, bernoulli_sample, observe, probability_for_ratio
+from edmc.sampling import (PairSet, bernoulli_sample, observe, observe_points,
+                           probability_for_ratio)
 from edmc.solver import (DegenerateInitError, DegenerateStepError, IterRecord, Problem,
                          SolverConfig, init_one_step, recover_points, solve,
                          step_size)
@@ -67,6 +69,63 @@ class TestInitOneStep:
         assert x0.eigs[0] == pytest.approx(truth.eigs.max(), rel=0.5)
 
 
+class TestLanczosTop:
+    """The Lanczos helper of the n > DENSE_INIT_MAX_N init against ``eigh``."""
+
+    @staticmethod
+    def symmetric(n, seed, shift=0.0):
+        a = np.random.default_rng(seed).standard_normal((n, n))
+        a = (a + a.T) / 2.0
+        a[0, 0] += shift
+        return a
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_negative_top_eigenvalue_matches_eigh(self, seed):
+        a = self.symmetric(60, seed, shift=-30.0)
+        w, v = np.linalg.eigh(a)
+        order = magnitude_order(w)[:4]
+        lam, vecs = solver_module._lanczos_top(lambda x: a @ x, 60, 4)
+        assert lam[0] < 0 and abs(lam[0]) > np.abs(lam[1:]).max()
+        assert np.abs(lam - w[order]).max() <= 1e-12 * np.abs(w).max()
+        # the eigenvectors up to sign
+        assert np.abs(np.abs(vecs.T @ v[:, order]) - np.eye(4)).max() <= 1e-8
+
+    def test_exactly_triple_top_eigenvalue(self):
+        # an isotropic centred cloud: its Gram's nonzero eigenvalue 150 is
+        # exactly triple
+        points = np.tile(np.vstack([np.eye(3), -np.eye(3)]), (75, 1))
+        assert np.array_equal(points.T @ points, 150.0 * np.eye(3))
+        data = observe_points(points, PairSet.full(450), p=1.0)
+        truth = factored_gram_from_points(points)
+        x0 = init_one_step(Problem(data, rank=3))
+        assert gram_frobenius_error(x0, truth) <= 1e-13 * truth.norm_fro()
+
+    def test_whole_space_krylov_gives_every_eigenpair(self):
+        # at step n the Krylov space is all of R^n, an exact breakdown
+        a = self.symmetric(12, seed=5)
+        w = np.linalg.eigvalsh(a)
+        lam, vecs = solver_module._lanczos_top(lambda x: a @ x, 12, 12)
+        assert np.abs(lam - w[magnitude_order(w)]).max() <= 1e-12 * np.abs(w).max()
+        assert np.abs(a @ vecs - vecs * lam).max() <= 1e-12 * np.abs(w).max()
+
+    def test_breakdown_stops_with_fewer_pairs(self):
+        # the zero operator: the start vector spans an invariant Krylov space
+        lam, vecs = solver_module._lanczos_top(np.zeros_like, 50, 3)
+        assert lam.tolist() == [0.0] and vecs.shape == (50, 1)
+
+    def test_step_cap_raises(self, monkeypatch):
+        a = self.symmetric(60, seed=6)
+        monkeypatch.setattr(solver_module, "LANCZOS_MAX_STEPS", 4)
+        with pytest.raises(DegenerateInitError, match="in 4 steps .*residual"):
+            solver_module._lanczos_top(lambda x: a @ x, 60, 3)
+
+    def test_no_signal_above_the_dense_cutoff(self):
+        # all-zero distances: the same cause as the dense branch gives
+        data = observe_points(np.zeros((450, 3)), bernoulli_sample(450, 0.1, 1))
+        with pytest.raises(DegenerateInitError, match="numerical rank below the target rank"):
+            init_one_step(Problem(data, rank=3))
+
+
 class TestSolve:
     def test_fixed_point_at_truth(self):
         # iterate matching the observed coefficients exactly: zero gradient,
@@ -121,6 +180,12 @@ class TestSolve:
         prob, truth, _ = make_problem(20, 2, 0.8, seed=8)
         with pytest.raises(ValueError):
             solve(prob, x0=truncated_gram(truth.matrix(), 3))
+
+    def test_x0_of_another_size_rejected(self):
+        prob, _, _ = make_problem(80, 3, 0.5, seed=8)
+        small, _, _ = make_problem(60, 3, 0.5, seed=8)
+        with pytest.raises(ValueError, match="n=60 .* n=80"):
+            solve(prob, x0=init_one_step(small))
 
     @staticmethod
     def _no_init(monkeypatch):
