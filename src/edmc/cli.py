@@ -26,8 +26,8 @@ from .experiments import (ExperimentConfig, GRID_CSV_COLUMNS, grid_rows, run_gri
 from .geometry import (FactoredGram, factored_gram_from_points, procrustes_error,
                        read_points_csv, write_points_csv)
 from .sampling import SampledDistances, bernoulli_sample, observe_points
-from .solver import (CHANGE_TOL_MODES, GRADIENT_OPS, Problem, SolverConfig,
-                     init_one_step, recover_points, solve)
+from .solver import (CHANGE_TOL_MODES, Problem, SolverConfig, init_one_step,
+                     recover_points, solve)
 from .synthdata import DatasetSpec, generate
 
 
@@ -138,7 +138,7 @@ def cmd_solve(args):
 
 def _solver_config(args):
     return SolverConfig(max_iters=args.max_iters, change_tol=args.tol,
-                        change_tol_mode=args.tol_mode, gradient_op=args.gradient_op)
+                        change_tol_mode=args.tol_mode)
 
 
 def cmd_diagnose(args):
@@ -295,7 +295,6 @@ def build_parser():
     p.add_argument("--max-iters", type=int, default=defaults.max_iters)
     p.add_argument("--tol", type=float, default=defaults.change_tol)
     p.add_argument("--tol-mode", default=defaults.change_tol_mode, choices=CHANGE_TOL_MODES)
-    p.add_argument("--gradient-op", default=defaults.gradient_op, choices=GRADIENT_OPS)
     p.add_argument("--out-trace", default=None)
     p.add_argument("--out-gram", default=None)
     p.add_argument("--out-points", default=None)

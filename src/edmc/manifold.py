@@ -62,12 +62,11 @@ class TangentVector:
         caller; the incidence product rounds each column on its own, so
         supplying it changes no bit of the result.
         """
-        U, r = self.base.U, self.base.r
+        B, U = pairs.incidence, self.base.U
         if dU is None:
-            dU = pairs.incidence @ U
-        d = pairs.incidence @ np.hstack([U @ self.M, self.Zu])
-        return (np.einsum("ij,ij->i", d[:, :r], dU)
-                + 2.0 * np.einsum("ij,ij->i", d[:, r:], dU))
+            dU = B @ U
+        return (np.einsum("ij,ij->i", B @ (U @ self.M), dU)
+                + 2.0 * np.einsum("ij,ij->i", B @ self.Zu, dU))
 
 
 def _split(base: FactoredGram, yu) -> TangentVector:

@@ -54,8 +54,7 @@ class PairSet:
                 raise ValueError("pair indices out of range")
             if np.any(ii >= jj):
                 raise ValueError("pairs must satisfy i < j")
-            code = ii * self.n + jj
-            if np.any(np.diff(code) <= 0):
+            if np.any(ii[1:] < ii[:-1]) or np.any((ii[1:] == ii[:-1]) & (jj[1:] <= jj[:-1])):
                 raise ValueError("pairs must be sorted and unique")
 
     def __len__(self):
@@ -73,7 +72,8 @@ class PairSet:
         """Signed pair-incidence matrix B (m x n, int8): row a is ``e_i - e_j``,
         so ``w_a = b_a b_a^T``; ``B.T`` is a view, not a stored transpose."""
         m = self.m
-        indices = np.stack([self.ii, self.jj], axis=1).ravel().astype(np.int32)
+        indices = np.empty(2 * m, dtype=np.int32)
+        indices[0::2], indices[1::2] = self.ii, self.jj
         data = np.tile(np.array([1, -1], dtype=np.int8), m)
         indptr = np.arange(0, 2 * m + 1, 2, dtype=np.int32)
         return csr_array((data, indices, indptr), shape=(m, self.n))
@@ -104,7 +104,7 @@ class PairSet:
 
 
 #: uniforms drawn per block by :func:`bernoulli_sample`
-SAMPLE_BLOCK = 1 << 20
+SAMPLE_BLOCK = 1 << 16
 
 
 def bernoulli_sample(n, p, seed):

@@ -4,9 +4,7 @@ squared distances, with the one-step hard-thresholding initialization.
 Iteration, from a rank-r factored iterate ``X_l``:
 
 1. residual coefficients ``c_a = d_a - <X_l, w_a>`` on the sampled pairs,
-2. gradient image ``G_l = A(c)`` for the configured sampling operator
-   (``"normal"``: the plain normal operator; ``"debiased"``: the
-   p-rescaled variant whose Bernoulli expectation is ``p^2 I``),
+2. gradient image ``G_l = A(c)`` of the normal operator ``A = R*R``,
 3. project onto the tangent space, take the exact-quotient step
    ``alpha = ||P_T G||_F^2 / <P_T G, A(P_T G)>``,
 4. retract back to rank r through the structured 2r-by-2r update.
@@ -15,10 +13,11 @@ Stopping follows the relative Frobenius difference between consecutive
 iterates, computed exactly in the shared 2r-dimensional core.
 
 The exact quotient is the exact line search for the quadratic objective
-``<Y - X, A(Y - X)>`` along the projected direction.  With the de-biased
-operator that quadratic form is indefinite at practical sampling rates, so
-the quotient can blow up; the normal operator is positive semi-definite
-and is the default.
+``<Y - X, A(Y - X)>`` along the projected direction.  The normal operator
+is positive semi-definite; the de-biased operator of the RIP analysis
+(:func:`~edmc.dualbasis.m_omega_coeffs`) is not used here, because its
+quadratic form is indefinite at practical sampling rates and the quotient
+blows up.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ class DegenerateStepError(RuntimeError):
     """The step-size quotient had a vanishing or non-finite term."""
 
 
-GRADIENT_OPS = ("normal", "debiased")
 CHANGE_TOL_MODES = ("relative", "absolute")
 
 #: :func:`init_one_step` runs a dense ``eigh`` up to this n and Lanczos above
@@ -54,8 +52,6 @@ DENSE_INIT_MAX_N = 400
 LANCZOS_TOL = 1e-14
 #: and raises :class:`DegenerateInitError` after min(n, this) steps
 LANCZOS_MAX_STEPS = 300
-#: eps of the de-biased step interval :func:`step_size` flags (Wei et al., SIMAX 2016)
-STEP_FLAG_EPS = 1.0 / 22.0
 
 #: a run with a truth stops as ``diverged`` once its error exceeds this
 #: multiple of the starting error
@@ -100,7 +96,6 @@ class SolverConfig:
     max_iters: int = 1000
     change_tol: float = 1e-5
     change_tol_mode: str = "relative"
-    gradient_op: str = "normal"
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -109,22 +104,18 @@ class SolverConfig:
             raise ValueError("change_tol must be positive")
         if self.change_tol_mode not in CHANGE_TOL_MODES:
             raise ValueError(f"change_tol_mode must be one of {CHANGE_TOL_MODES}")
-        if self.gradient_op not in GRADIENT_OPS:
-            raise ValueError(f"gradient_op must be one of {GRADIENT_OPS}")
 
 
 @dataclass
 class IterRecord:
-    """One iteration.  ``step_flagged`` is the step's excursion outside the
-    de-biased interval (see :func:`step_size`); ``boundary_tie`` is the
-    retracted iterate's tie at the rank boundary."""
+    """One iteration.  ``boundary_tie`` is the retracted iterate's tie at
+    the rank boundary."""
 
     iteration: int
     step_size: float
     residual_norm: float
     rel_change: float
     rel_truth_error: float | None = None
-    step_flagged: bool = False
     boundary_tie: bool = False
 
 
@@ -171,12 +162,6 @@ class SolverTrace:
 class SolveResult:
     gram: FactoredGram
     trace: SolverTrace
-
-
-def _gradient_coeffs(c, pairs, p, mode):
-    if mode == "debiased":
-        return db.m_omega_coeffs(c, pairs, p)
-    return db.rstar_r_coeffs(c, pairs)
 
 
 def _lanczos_top(matvec, n, r):
@@ -239,16 +224,11 @@ def init_one_step(problem: Problem) -> FactoredGram:
     return FactoredGram(vecs, lam / p)
 
 
-def step_size(tangent_g: TangentVector, pairs: PairSet, p,
-              gradient_op="normal", dU=None):
+def step_size(tangent_g: TangentVector, pairs: PairSet, dU=None):
     """Exact step-size quotient ``<T, T> / <T, A(T)>`` for a projected
-    gradient direction T, with A the ``gradient_op`` operator.
+    gradient direction T, with A the normal operator ``R*R``.
 
-    Returns ``(alpha, flagged)``.  The quotient is scale invariant in the
-    tangent vector.  For the de-biased operator the restricted-isometry
-    analysis confines the step to ``[p^-2/(1+4*eps), p^-2/(1-4*eps)]``,
-    eps = :data:`STEP_FLAG_EPS`; ``flagged`` reports an excursion outside
-    it (never for the normal operator, whose natural scale differs).  A zero or
+    The quotient is scale invariant in the tangent vector.  A zero or
     non-finite quotient term raises :class:`DegenerateStepError`.
     ``dU`` is the base's ``pairs.incidence @ U`` when the caller has it.
     """
@@ -256,7 +236,7 @@ def step_size(tangent_g: TangentVector, pairs: PairSet, p,
     if num == 0.0:
         raise DegenerateStepError("zero tangent direction")
     zc = tangent_g.w_coeffs(pairs, dU)
-    g2 = _gradient_coeffs(zc, pairs, p, gradient_op)
+    g2 = db.rstar_r_coeffs(zc, pairs)
     with np.errstate(over="ignore", invalid="ignore"):
         denom = float(g2 @ zc)
     if not (np.isfinite(num) and np.isfinite(denom)):
@@ -264,13 +244,7 @@ def step_size(tangent_g: TangentVector, pairs: PairSet, p,
             f"step-size quotient is not finite (numerator {num:.3g}, denominator {denom:.3g})")
     if denom == 0.0:
         raise DegenerateStepError("step-size quotient has zero denominator")
-    alpha = num / denom
-    flagged = False
-    if gradient_op == "debiased":
-        lo = p**-2 / (1.0 + 4.0 * STEP_FLAG_EPS)
-        hi = p**-2 / (1.0 - 4.0 * STEP_FLAG_EPS)
-        flagged = not (lo <= alpha <= hi)
-    return alpha, flagged
+    return num / denom
 
 
 def _truth_error_fn(truth, n):
@@ -299,8 +273,7 @@ def solve(problem: Problem, x0: FactoredGram | None = None,
         raise ValueError(f"x0 has rank {x0.r}, problem wants {problem.rank}")
     if x0.n != problem.n:
         raise ValueError(f"x0 has n={x0.n} points but the sample has n={problem.n}")
-    pairs, d, p = problem.data.pairs, problem.data.values, problem.p
-    mode = config.gradient_op
+    pairs, d = problem.data.pairs, problem.data.values
     trace = SolverTrace(data_norm=float(np.linalg.norm(d)))
     err0 = truth_err(x0) if truth_err else None
 
@@ -310,14 +283,14 @@ def solve(problem: Problem, x0: FactoredGram | None = None,
         dU = pairs.incidence @ current.U
         c = d - db.w_coeffs_factored(current.U, current.eigs, pairs, dU)
         residual_norm = float(np.linalg.norm(c))
-        tangent = project_w_expansion(current, _gradient_coeffs(c, pairs, p, mode), pairs)
+        tangent = project_w_expansion(current, db.rstar_r_coeffs(c, pairs), pairs)
         if tangent.norm_fro() == 0.0:
             # stationary: the sampled residual is invisible to the tangent space
             trace.records.append(IterRecord(it, 0.0, residual_norm, 0.0,
                                             truth_err(current) if truth_err else None))
             return _finish(trace, "converged", current)
         try:
-            alpha, flagged = step_size(tangent, pairs, p, mode, dU=dU)
+            alpha = step_size(tangent, pairs, dU=dU)
             new = retract_structured(current, tangent, alpha)
         except (DegenerateStepError, RankCollapseError):
             trace.status = "degenerate"
@@ -327,7 +300,7 @@ def solve(problem: Problem, x0: FactoredGram | None = None,
         rel_err = truth_err(new) if truth_err else None
         trace.records.append(IterRecord(it, float(alpha), residual_norm,
                                         float(rel_change), rel_err,
-                                        bool(flagged), bool(new.boundary_tie)))
+                                        bool(new.boundary_tie)))
         current = new
         stop_value = rel_change if config.change_tol_mode == "relative" else change
         if stop_value < config.change_tol:

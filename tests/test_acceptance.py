@@ -355,16 +355,18 @@ def test_criterion_10_step_size_sanity():
     problem, truth = sphere_instance(30, 2, 1.0, 3)
     x0 = init_one_step(problem)
     tangent = project_tangent(x0, random_centered_symmetric(30, seed=8))
-    deviations = []
-    for mode in ("normal", "debiased"):
-        alpha, _ = step_size(tangent, problem.data.pairs, 1.0, gradient_op=mode)
-        deviations.append(abs(alpha - 1.0))
+    pairs = problem.data.pairs
+    zc = tangent.w_coeffs(pairs)
+    # the normal operator's quotient, and the de-biased operator's formed directly
+    alphas = (step_size(tangent, pairs),
+              tangent.norm_fro() ** 2 / float(db.m_omega_coeffs(zc, pairs, 1.0) @ zc))
+    deviations = [abs(alpha - 1.0) for alpha in alphas]
     ok = max(deviations) <= 1e-12
 
-    alpha_base, _ = step_size(tangent, problem.data.pairs, 1.0)
+    alpha_base = step_size(tangent, pairs)
     drift = 0.0
     for c in (1e-3, -2.0, 512.0):
-        alpha_scaled, _ = step_size(tangent.scale(c), problem.data.pairs, 1.0)
+        alpha_scaled = step_size(tangent.scale(c), pairs)
         drift = max(drift, abs(alpha_scaled - alpha_base) / abs(alpha_base))
     ok &= drift <= 1e-12
     assert report("C10", ok, f"|alpha - 1| at p=1: {max(deviations):.2e}; "

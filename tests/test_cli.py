@@ -207,6 +207,11 @@ class TestPipeline:
         args = build_parser().parse_args(["solve", "--data", "d.csv", "--r", "3"])
         assert _solver_config(args) == SolverConfig()
 
+    def test_solve_has_no_gradient_op_flag(self, pipeline_dir, capsys):
+        assert run_cli(["solve", "--data", str(pipeline_dir / "dist.csv"), "--r", "3",
+                        "--gradient-op", "debiased"]) == 2
+        assert "--gradient-op" in capsys.readouterr().err
+
     def test_console_script_installed(self):
         out = subprocess.run([sys.executable, "-m", "edmc.cli", "--help"],
                              capture_output=True, text=True)
@@ -399,6 +404,7 @@ class TestGridConfigKeys:
         ("the top level", {"trails": 1}, "trails"),
         ("dataset", {"dataset": {**GRID_CONFIG["dataset"], "size": 40}}, "size"),
         ("solver", {"solver": {"tol": 1e-6}}, "tol"),
+        ("solver", {"solver": {"gradient_op": "debiased"}}, "gradient_op"),
     ])
     def test_unknown_key_names_key_and_section(self, tmp_path, capsys, section, patch, key):
         cfg = tmp_path / "grid.json"
@@ -432,7 +438,8 @@ class TestGridConfigKeys:
          "a string or null"),
         ("solver", {"solver": {"max_iters": 100.0}}, "max_iters", "an integer"),
         ("solver", {"solver": {"change_tol": None}}, "change_tol", "a number"),
-        ("solver", {"solver": {"gradient_op": ["normal"]}}, "gradient_op", "a string"),
+        ("solver", {"solver": {"change_tol_mode": ["relative"]}}, "change_tol_mode",
+         "a string"),
     ])
     def test_wrong_type_names_key_section_and_type(self, tmp_path, capsys, section, patch,
                                                    key, expected):

@@ -77,8 +77,8 @@ class TestFactoredTruth:
         assert trial.rel_error < 1e-3
 
     def test_no_square_array(self, monkeypatch):
-        # n=3000, not smaller: the sampler's block of SAMPLE_BLOCK uniforms
-        # (8.4 MB) alone passes n^2 * 8 / 4 bytes below about n=2050
+        # n=3000, not smaller: the Lanczos init's basis of (min(n, 300) + 1) x n
+        # floats alone passes n^2 * 8 / 4 bytes below about n=1200
         n = 3000
 
         def no_dense_gram(*args, **kwargs):

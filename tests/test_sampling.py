@@ -48,7 +48,7 @@ class TestBernoulliSample:
         se = np.sqrt(p * (1 - p) / (L * trials))
         assert abs(fills.mean() - p) <= 3 * se
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 1002, 1450])
+    @pytest.mark.parametrize("n", [1, 2, 7, 300, 400, 1002, 1450])
     @pytest.mark.parametrize("p", [0.0, 0.05, 1.0])
     def test_matches_full_draw_oracle(self, n, p):
         # the one-shot form: every pair index and one uniform per pair
@@ -60,7 +60,7 @@ class TestBernoulliSample:
         assert np.array_equal(pairs.jj, jj[mask])
 
     def test_oracle_sizes_cross_a_block(self):
-        assert pair_count(1002) < SAMPLE_BLOCK < pair_count(1450)
+        assert pair_count(300) < SAMPLE_BLOCK < pair_count(400)
 
     def test_memory_does_not_scale_with_pair_count(self):
         # L is about 8M pairs here; the one-shot form peaks near 200 MB
@@ -84,6 +84,8 @@ class TestPairSet:
             PairSet(4, np.array([0, 0]), np.array([2, 1]))  # unsorted
         with pytest.raises(ValueError):
             PairSet(4, np.array([0]), np.array([4]))  # out of range
+        with pytest.raises(ValueError):
+            PairSet(4, np.array([0, 1, 1]), np.array([3, 2, 2]))  # duplicate
 
     @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30))
     @settings(max_examples=50, deadline=None)
