@@ -33,7 +33,6 @@ class CoherenceReport:
     n: int
     r: int
     nu: float
-    whitened_nu: float            # same quantity from the Lambda-whitened points
     argmax_pair: tuple
     lower_bound_stated: float     # 1 + 2/(n-1)
     lower_bound_derived: float    # n/(n-1), from sum_{i<j} ||u_i-u_j||^2 = n r
@@ -54,83 +53,58 @@ class CoherenceReport:
 def _sq_dist_blocks(U):
     """Blocks of rows of ``||u_i - u_j||^2 = sq_i + sq_j - 2 u_i.u_j``.
 
-    Each entry is formed as in the full n-by-n expression; the diagonal is 0.
+    Each entry is formed as in the full n-by-n expression; the diagonal,
+    which no maximum may pick, is ``-inf``.
     """
     n = U.shape[0]
     sq = np.sum(U * U, axis=1)
     for s, e in row_blocks(n):
         d = sq[s:e, None] + sq[None, :] - 2.0 * (U[s:e] @ U.T)
-        d[np.arange(e - s), np.arange(s, e)] = 0.0
+        d[np.arange(e - s), np.arange(s, e)] = -np.inf
         yield s, e, d
 
 
-def _whitened_sq_dist_blocks(points, inv_lam):
-    """Blocks of rows of ``(p_i - p_j)^T Lambda^{-1} (p_i - p_j)``."""
-    n = points.shape[0]
-    w = points * inv_lam
-    sq = np.empty(n)
-    for s, e in row_blocks(n):
-        sq[s:e] = np.diag(points[s:e] @ w[s:e].T)
-    for s, e in row_blocks(n):
-        d = sq[s:e, None] + sq[None, :] - points[s:e] @ w.T - w[s:e] @ points.T
-        d[np.arange(e - s), np.arange(s, e)] = 0.0
-        yield s, e, d
+def _scan(U):
+    """One blocked pass over the squared row distances.
 
-
-def _max_upper(blocks, n):
-    """``max_{i<j}`` over the blocks and its first pair in row-major order."""
+    Returns ``max_{i<j}``, its first pair in row-major order, and each row's
+    two largest entries off the diagonal as (second, first).
+    """
+    n = U.shape[0]
     best, pair = -np.inf, None
+    top = np.empty((n, 2))
     cols = np.arange(n)
-    for s, e, d in blocks:
+    for s, e, d in _sq_dist_blocks(U):
+        top[s:e] = np.partition(d, n - 2, axis=1)[:, n - 2:]
         d[cols[None, :] <= np.arange(s, e)[:, None]] = -np.inf
         k = int(np.argmax(d))
         if d.flat[k] > best:
             best, pair = float(d.flat[k]), (s + k // n, k % n)
-    return best, pair
-
-
-def _top_two(blocks, n):
-    """Each row's two largest entries off the diagonal, as (second, first)."""
-    out = np.empty((n, 2))
-    for s, e, d in blocks:
-        d[np.arange(e - s), np.arange(s, e)] = -np.inf
-        out[s:e] = np.partition(d, n - 2, axis=1)[:, n - 2:]
-    return out
+    return best, pair, top
 
 
 def incoherence(x: FactoredGram, cross_terms=True) -> CoherenceReport:
     """Geometric incoherence of a factored Gram matrix.
 
-    Also evaluates the whitened-point form ``(p_i - p_j)^T Lambda^{-1}
-    (p_i - p_j)`` independently; the two agree to roundoff, which the
-    report exposes for verification.  Both maxima come from blocked passes
-    over the distance rows, O(n^2 r) time in O(n) memory per block.
+    One blocked pass over the distance rows, O(n^2 r) time in O(n) memory
+    per block, gives nu and its pair; the same pass bounds the rows of the
+    cross-term search.
     """
     n, r = x.n, x.r
     if r == 0:
         raise ValueError("rank-0 input has no incoherence parameter")
     if np.any(x.eigs == 0.0):
         raise ValueError("factored Gram carries a zero eigenvalue")
-    U = x.U
-    dmax, pair = _max_upper(_sq_dist_blocks(U), n)
-    nu = n / (2.0 * r) * dmax
-
-    points = U * np.sqrt(np.abs(x.eigs))
-    signs = np.sign(x.eigs)
-    dw_max, _ = _max_upper(_whitened_sq_dist_blocks(points, signs / np.abs(x.eigs)), n)
-    whitened_nu = n / (2.0 * r) * dw_max
-
-    cross = cross_term_max(x) if cross_terms else None
+    dmax, pair, top = _scan(x.U)
     return CoherenceReport(
         n=n,
         r=r,
-        nu=nu,
-        whitened_nu=whitened_nu,
+        nu=n / (2.0 * r) * dmax,
         argmax_pair=pair,
         lower_bound_stated=1.0 + 2.0 / (n - 1),
         lower_bound_derived=n / (n - 1.0),
         upper_bound=2.0 * n / r,
-        cross_term_max=cross,
+        cross_term_max=_cross_search(x.U, top) if cross_terms else None,
     )
 
 
@@ -168,7 +142,12 @@ def cross_term_max(x: FactoredGram):
     win is skipped: the result is :func:`cross_term_max_dense`'s, up to how
     the BLAS rounds one dot product in blocks of different shapes.
     """
-    U = x.U
+    return _cross_search(x.U, _scan(x.U)[2])
+
+
+def _cross_search(U, top):
+    """The branch and bound of :func:`cross_term_max` from the rows' two
+    largest squared distances ``top`` of :func:`_scan`."""
     n, r = U.shape
     if n < 3:
         return 0.0
@@ -179,7 +158,7 @@ def cross_term_max(x: FactoredGram):
     # a computed dot product of r-vectors is within (r + 2) eps of the exact
     # one, relative to the product of the norms
     slack = 1.0 + 4.0 * (r + 2) * eps
-    top = np.maximum(_top_two(_sq_dist_blocks(U), n), 0.0) + pad
+    top = np.maximum(top, 0.0) + pad
     bound = slack * slack * np.sqrt(top[:, 0] * top[:, 1])
     best = 0.0
     for i in np.argsort(-bound, kind="stable"):
@@ -329,6 +308,8 @@ def rip_estimate(x: FactoredGram, pairs: PairSet, p, seed=0,
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     if x.n != pairs.n:
         raise ValueError(f"the factored Gram has n={x.n} points but the pair set "
                          f"has n={pairs.n}")

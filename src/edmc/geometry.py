@@ -102,13 +102,13 @@ def gram_frobenius_error(a: FactoredGram, b) -> float:
     """``||A - B||_F`` for a factored A and a factored or dense B.
 
     For two factored inputs the difference is formed in the joint column
-    space (a QR of ``[Ua | Ub]`` and a small core), which avoids the
-    catastrophic cancellation of the inner-product expansion and stays
+    space (the R of a QR of ``[Ua | Ub]`` and a small core), which avoids
+    the catastrophic cancellation of the inner-product expansion and stays
     accurate down to machine precision.
     """
     if isinstance(b, FactoredGram):
         ra = a.r
-        q, rr = np.linalg.qr(np.hstack([a.U, b.U]))
+        rr = np.linalg.qr(np.hstack([a.U, b.U]), mode="r")
         ka = rr[:, :ra] * a.eigs
         kb = rr[:, ra:] * b.eigs
         core = ka @ rr[:, :ra].T - kb @ rr[:, ra:].T

@@ -9,8 +9,10 @@ Iteration, from a rank-r factored iterate ``X_l``:
    ``alpha = ||P_T G||_F^2 / <P_T G, A(P_T G)>``,
 4. retract back to rank r through the structured 2r-by-2r update.
 
-Stopping follows the relative Frobenius difference between consecutive
-iterates, computed exactly in the shared 2r-dimensional core.
+Stopping follows the Frobenius difference between consecutive iterates
+(relative to the iterate's norm by default), which
+:func:`~edmc.geometry.gram_frobenius_error` takes from the R factor of a
+QR of ``[U_new | U]`` and a 2r-by-2r core.
 
 The exact quotient is the exact line search for the quadratic objective
 ``<Y - X, A(Y - X)>`` along the projected direction.  The normal operator
@@ -100,8 +102,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.change_tol <= 0:
-            raise ValueError("change_tol must be positive")
+        if not (np.isfinite(self.change_tol) and self.change_tol > 0):
+            raise ValueError(f"change_tol must be positive and finite, got {self.change_tol}")
         if self.change_tol_mode not in CHANGE_TOL_MODES:
             raise ValueError(f"change_tol_mode must be one of {CHANGE_TOL_MODES}")
 

@@ -207,6 +207,12 @@ class TestPipeline:
         args = build_parser().parse_args(["solve", "--data", "d.csv", "--r", "3"])
         assert _solver_config(args) == SolverConfig()
 
+    def test_solve_rejects_a_nan_tol(self, pipeline_dir, capsys):
+        assert run_cli(["solve", "--data", str(pipeline_dir / "dist.csv"), "--r", "3",
+                        "--tol", "nan"]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ValueError" and "change_tol" in err["error"]
+
     def test_solve_has_no_gradient_op_flag(self, pipeline_dir, capsys):
         assert run_cli(["solve", "--data", str(pipeline_dir / "dist.csv"), "--r", "3",
                         "--gradient-op", "debiased"]) == 2
@@ -243,7 +249,7 @@ class TestDiagnosePoints:
                         "--out", str(out)]) == 0
         monkeypatch.setattr(np.linalg, "eigh", real_eigh)
         report = json.loads(out.read_text())
-        for key in ("nu", "whitened_nu", "cross_term_max"):
+        for key in ("nu", "cross_term_max"):
             assert report[key] == pytest.approx(getattr(reference, key), rel=1e-12)
 
     @pytest.mark.parametrize("sources", [[], ["--points", "p.csv", "--gram", "g.json"]])
@@ -460,6 +466,17 @@ class TestGridConfigKeys:
         config, _ = _experiment_config_from_json(cfg, {})
         assert config.rho_grid == (8,) and config.gamma_grid == (None, -3)
         assert config.solver.change_tol == 1
+
+    def test_non_finite_tolerance_rejected(self, tmp_path, capsys):
+        # json parses NaN, which passes the number check
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({**GRID_CONFIG, "solver": {"change_tol": float("nan")}}))
+        assert "NaN" in cfg.read_text()
+        out = tmp_path / "grid.csv"
+        assert run_cli(["grid", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ValueError" and "change_tol" in err["error"]
 
     def test_every_config_field_has_a_type_check(self):
         for cls in (ExperimentConfig, DatasetSpec, SolverConfig):

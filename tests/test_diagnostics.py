@@ -69,7 +69,9 @@ def adversarial_factors(draw):
 
 
 def dense_incoherence(x):
-    """The n-by-n reference: nu, its first (i<j) pair, and the whitened nu."""
+    """The n-by-n reference: nu, its first (i<j) pair, and nu from the
+    whitened points ``(p_i - p_j)^T Lambda^{-1} (p_i - p_j)``, which is nu
+    for a PSD factor and a signed form otherwise."""
     U = x.U
     n, r = U.shape
     sq = np.sum(U * U, axis=1)
@@ -102,13 +104,12 @@ class TestCrossTermSearch:
         x, kind, block = case
         with mock.patch.object(sampling, "BLOCK_ELEMS", block):
             rep = incoherence(x, cross_terms=False)
-        nu, pair, whitened_nu = dense_incoherence(x)
+        nu, pair, _ = dense_incoherence(x)
         # a one-row block is a matrix-vector product, which may round its
         # last bit differently: allow that much against the entries' scale
         U = x.U
         floor = 1e-12 * x.n / (2.0 * x.r) * 4.0 * np.max(np.sum(U * U, axis=1))
         assert rep.nu == pytest.approx(nu, rel=1e-12, abs=floor)
-        assert rep.whitened_nu == pytest.approx(whitened_nu, rel=1e-12, abs=floor)
         i, j = rep.argmax_pair
         assert i < j
         du = U[i] - U[j]
@@ -144,12 +145,27 @@ class TestCrossTermSearch:
         assert peak < 32e6
         assert 0.0 < rep.cross_term_max <= 2.0 * x.r * rep.nu / x.n
 
+    def test_one_pass_over_the_distance_blocks(self):
+        # nu, its pair and the row bounds of the cross-term search share one
+        # sweep of the row blocks; several blocks make a second sweep visible
+        x = random_factored_gram(50, 3, seed=17)
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return sampling.row_blocks(n)
+
+        with mock.patch.object(sampling, "BLOCK_ELEMS", 64), \
+                mock.patch.object(diagnostics, "row_blocks", counted):
+            rep = incoherence(x, cross_terms=True)
+            assert calls == [50]
+            assert rep.cross_term_max == cross_term_max(x)
+
 
 class TestIncoherence:
     def test_triangle_example(self):
         rep = incoherence(TRIANGLE)
         assert rep.nu == pytest.approx(1.5, abs=1e-12)
-        assert rep.whitened_nu == pytest.approx(rep.nu, abs=1e-10)
         # each of the three pairs attains the max
         du = TRIANGLE_U[rep.argmax_pair[0]] - TRIANGLE_U[rep.argmax_pair[1]]
         assert du @ du == pytest.approx(2.0, abs=1e-12)
@@ -185,9 +201,12 @@ class TestIncoherence:
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_whitened_form_agrees(self, seed):
+        # for a PSD factor nu is n/2r times the largest squared distance of
+        # the whitened points
         fg = random_factored_gram(9, 3, seed)
         rep = incoherence(fg, cross_terms=False)
-        assert abs(rep.whitened_nu - rep.nu) <= 1e-10 * max(1.0, rep.nu)
+        _, _, whitened_nu = dense_incoherence(fg)
+        assert abs(whitened_nu - rep.nu) <= 1e-10 * max(1.0, rep.nu)
 
     def test_report_serializes(self):
         rep = incoherence(TRIANGLE)
@@ -273,6 +292,14 @@ class TestRipEstimate:
         fg = random_factored_gram(8, 2, seed=11)
         est = rip_estimate(fg, PairSet.full(8), p=1.0)
         assert est.epsilon <= 1e-8
+
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_max_iters_below_one_rejected(self, max_iters):
+        fg = random_factored_gram(8, 2, seed=11)
+        with mock.patch.object(diagnostics, "tangent_phi",
+                               side_effect=AssertionError("Phi built")):
+            with pytest.raises(ValueError, match="max_iters"):
+                rip_estimate(fg, PairSet.full(8), p=1.0, max_iters=max_iters)
 
     @staticmethod
     def _dense_epsilon(fg, pairs, p):

@@ -40,6 +40,13 @@ class TestProblem:
             Problem(prob.data, rank=0)
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("tol", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_change_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="change_tol"):
+            SolverConfig(change_tol=tol)
+
+
 class TestInitOneStep:
     def test_exact_at_full_sampling(self):
         prob, truth, _ = make_problem(40, 3, 1.0, seed=1)
