@@ -91,6 +91,8 @@ def incoherence(x: FactoredGram, cross_terms=True) -> CoherenceReport:
     cross-term search.
     """
     n, r = x.n, x.r
+    if n < 2:
+        raise ValueError(f"incoherence needs at least two points, got n={n}")
     if r == 0:
         raise ValueError("rank-0 input has no incoherence parameter")
     if np.any(x.eigs == 0.0):
@@ -303,13 +305,17 @@ def rip_estimate(x: FactoredGram, pairs: PairSet, p, seed=0,
     :func:`_project_coords`.  The point is fixed, so ``Phi`` is built once
     and each step costs two sparse products over its m (2r + r(r+1)/2)
     entries plus O(n r) work.  The start is a seeded Gaussian in these
-    coordinates.  Non-convergence within the cap returns the current
-    Rayleigh estimate flagged as approximate.
+    coordinates.  It stops once the residual is at most ``tol`` times the
+    Rayleigh quotient's magnitude; ``tol`` must be finite and nonnegative,
+    and 0 runs all ``max_iters`` steps.  Non-convergence within the cap
+    returns the current Rayleigh estimate flagged as approximate.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if x.n != pairs.n:
         raise ValueError(f"the factored Gram has n={x.n} points but the pair set "
                          f"has n={pairs.n}")

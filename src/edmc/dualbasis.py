@@ -28,48 +28,15 @@ Operators (Omega the sampled pair set, m = |Omega|):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.sparse import csr_array
 
 from .sampling import PairSet, pair_count
 
 
-@dataclass(frozen=True)
-class DualBasisConstants:
-    """Closed-form spectral constants of the basis pair at size n."""
-
-    n: int
-    v_norm_sq: float      # ||v_a||_F^2, equal for every pair
-    h_diag: float         # <v_a, v_a>
-    h_adjacent: float     # <v_a, v_b>, pairs sharing one index
-    h_disjoint: float     # <v_a, v_b>, disjoint pairs
-    h_eig_max: float      # largest eigenvalue of H = [<w_a, w_b>]
-    hinv_eig_max: float   # largest eigenvalue of H^{-1}
-
-
 def v_norm_sq(n):
+    """``||v_a||_F^2 = <v_a, v_a>``, the same for every pair."""
     return 0.5 * (1.0 - 2.0 / n + 2.0 / n**2)
-
-
-def constants(n):
-    if n < 2:
-        raise ValueError("need at least two points")
-    d = v_norm_sq(n)
-    # lambda_min(H) is 2 only once disjoint pairs exist (n >= 4); the
-    # eigenvalue spectrum of H is {2n, n, 2} with the 2-eigenspace of
-    # dimension n(n-3)/2
-    hinv_max = {2: 0.25, 3: 1.0 / 3.0}.get(n, 0.5)
-    return DualBasisConstants(
-        n=n,
-        v_norm_sq=d,
-        h_diag=d,
-        h_adjacent=-1.0 / (2 * n) + 1.0 / n**2,
-        h_disjoint=1.0 / n**2,
-        h_eig_max=2.0 * n,
-        hinv_eig_max=hinv_max,
-    )
 
 
 def h_inv_entry(n, alpha, beta):
@@ -103,12 +70,8 @@ def v_alpha_dense(n, i, j):
 
 
 def w_inner(x, i, j):
-    """``<X, w_(i,j)> = X_ii + X_jj - 2 X_ij`` for dense or factored input."""
-    from .geometry import FactoredGram
-
-    if isinstance(x, FactoredGram):
-        du = x.U[i] - x.U[j]
-        return float(np.dot(du * du, x.eigs))
+    """``<X, w_(i,j)> = X_ii + X_jj - 2 X_ij`` of a dense X, the dense
+    oracles' coefficient; :func:`w_coeffs_factored` takes a factored X."""
     x = np.asarray(x, dtype=float)
     if not (0 <= i < x.shape[0] and 0 <= j < x.shape[0]):
         raise IndexError(f"pair ({i}, {j}) out of range")

@@ -98,23 +98,20 @@ class FactoredGram:
         return self
 
 
-def gram_frobenius_error(a: FactoredGram, b) -> float:
-    """``||A - B||_F`` for a factored A and a factored or dense B.
+def gram_frobenius_error(a: FactoredGram, b: FactoredGram) -> float:
+    """``||A - B||_F`` for two factored Gram matrices.
 
-    For two factored inputs the difference is formed in the joint column
-    space (the R of a QR of ``[Ua | Ub]`` and a small core), which avoids
-    the catastrophic cancellation of the inner-product expansion and stays
-    accurate down to machine precision.
+    The difference is formed in the joint column space (the R of a QR of
+    ``[Ua | Ub]`` and a small core), which avoids the catastrophic
+    cancellation of the inner-product expansion and stays accurate down to
+    machine precision; no n-by-n array is formed.
     """
-    if isinstance(b, FactoredGram):
-        ra = a.r
-        rr = np.linalg.qr(np.hstack([a.U, b.U]), mode="r")
-        ka = rr[:, :ra] * a.eigs
-        kb = rr[:, ra:] * b.eigs
-        core = ka @ rr[:, :ra].T - kb @ rr[:, ra:].T
-        return float(np.linalg.norm(core))
-    diff = a.matrix() - np.asarray(b, dtype=float)
-    return float(np.linalg.norm(diff))
+    ra = a.r
+    rr = np.linalg.qr(np.hstack([a.U, b.U]), mode="r")
+    ka = rr[:, :ra] * a.eigs
+    kb = rr[:, ra:] * b.eigs
+    core = ka @ rr[:, :ra].T - kb @ rr[:, ra:].T
+    return float(np.linalg.norm(core))
 
 
 def center_points(points):
@@ -225,10 +222,10 @@ def classical_mds(d, r, neg_tol=1e-8):
     :class:`NotEmbeddableError`.
     """
     b = gram_from_distances(d)
-    eigvals, eigvecs = np.linalg.eigh(b)
-    kept = select_rank(eigvals, eigvecs, r)
+    # made exactly symmetric: d passed a symmetry tolerance that b may not
+    kept = truncated_gram(0.5 * (b + b.T), r)
     lam = kept.eigs
-    scale = np.abs(eigvals).max() if eigvals.size else 0.0
+    scale = np.abs(lam).max() if lam.size else 0.0   # the largest is kept
     if np.any(lam < -neg_tol * max(scale, 1e-300)):
         raise NotEmbeddableError(
             f"leading eigenvalues {lam} include a negative value beyond "

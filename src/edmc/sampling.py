@@ -228,7 +228,10 @@ def observe_points(points, pairs: PairSet, p=None, seed=None):
     columns, so the Gram entries, and with them the values, are those of the
     full product: bitwise when one block holds every row, otherwise up to
     the kernel's last-bit differences between block shapes.  The pairs with
-    ``i`` in ``[s, e)`` are contiguous because the pairs are sorted.
+    ``i`` in ``[s, e)`` are contiguous because the pairs are sorted.  Unlike
+    :func:`observe`, which takes any Gram matrix, the values are clamped at
+    0: a cloud's squared distances cannot be negative, but the Gram form
+    rounds those of near-coincident points to about -1e-10 at scale 1e4.
     """
     points = _centered_points(points)
     n = points.shape[0]
@@ -244,6 +247,7 @@ def observe_points(points, pairs: PairSet, p=None, seed=None):
         a, b = indptr[s], indptr[e]
         g_pair[a:b] = g[ii[a:b] - s, jj[a:b]]
     values = g_diag[ii] + g_diag[jj] - 2.0 * g_pair
+    np.maximum(values, 0.0, out=values)
     return SampledDistances(pairs, values, p=p, seed=seed)
 
 

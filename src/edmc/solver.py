@@ -31,9 +31,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import dualbasis as db
-from .geometry import FactoredGram, gram_frobenius_error, magnitude_order
-from .manifold import (TangentVector, RankCollapseError, project_w_expansion,
-                       retract_structured)
+from .geometry import (FactoredGram, gram_frobenius_error, magnitude_order,
+                       truncated_gram)
+from .manifold import TangentVector, project_w_expansion, retract_structured
 from .sampling import PairSet, SampledDistances
 
 
@@ -202,20 +202,19 @@ def init_one_step(problem: Problem) -> FactoredGram:
     """One-step hard-thresholding initialization.
 
     Scales the rank-r truncation of the oblique sampler image by 1/p:
-    ``X_0 = (1/p) H_r(-1/2 J P_O(D) J)``.  Uses a dense eigendecomposition
-    up to :data:`DENSE_INIT_MAX_N` points and matrix-free Lanczos
-    (:func:`_lanczos_top`) above, both with deterministic selection of the
-    r largest-magnitude eigenvalues.
+    ``X_0 = (1/p) H_r(-1/2 J P_O(D) J)``, by ``truncated_gram`` of the dense
+    image up to :data:`DENSE_INIT_MAX_N` points and by Lanczos
+    (:func:`_lanczos_top`) above.  Its rank test (1e-12 of the largest kept
+    magnitude) is looser than ``select_rank``'s: an n x n ``eigh`` rounds at
+    about n eps, a 2r x 2r core at about eps.
     """
     data, r, p = problem.data, problem.rank, problem.p
     n = data.n
     if data.m == 0:
         raise DegenerateInitError("no observed distances")
     if n <= DENSE_INIT_MAX_N:
-        dense = db.r_omega_apply(data.values, data.pairs)
-        eigvals, eigvecs = np.linalg.eigh(dense)
-        order = magnitude_order(eigvals)[:r]
-        lam, vecs = eigvals[order], eigvecs[:, order]
+        kept = truncated_gram(db.r_omega_apply(data.values, data.pairs), r)
+        lam, vecs = kept.eigs, kept.U
     else:
         lam, vecs = _lanczos_top(db.r_omega_operator(data.values, data.pairs), n, r)
     scale = np.abs(lam).max() if lam.size else 0.0
@@ -291,12 +290,8 @@ def solve(problem: Problem, x0: FactoredGram | None = None,
             trace.records.append(IterRecord(it, 0.0, residual_norm, 0.0,
                                             truth_err(current) if truth_err else None))
             return _finish(trace, "converged", current)
-        try:
-            alpha = step_size(tangent, pairs, dU=dU)
-            new = retract_structured(current, tangent, alpha)
-        except (DegenerateStepError, RankCollapseError):
-            trace.status = "degenerate"
-            raise
+        alpha = step_size(tangent, pairs, dU=dU)
+        new = retract_structured(current, tangent, alpha)
         change = gram_frobenius_error(new, current)
         rel_change = change / max(current.norm_fro(), 1e-300)
         rel_err = truth_err(new) if truth_err else None

@@ -220,6 +220,11 @@ class TestIncoherence:
         with pytest.raises(ValueError):
             incoherence(fg)
 
+    def test_one_point_rejected(self):
+        fg = FactoredGram(np.ones((1, 1)), np.ones(1))
+        with pytest.raises(ValueError, match="n=1"):
+            incoherence(fg)
+
 
 class TestCrossCoherence:
     def test_disjoint_pairs_vanish_exhaustively(self):
@@ -300,6 +305,14 @@ class TestRipEstimate:
                                side_effect=AssertionError("Phi built")):
             with pytest.raises(ValueError, match="max_iters"):
                 rip_estimate(fg, PairSet.full(8), p=1.0, max_iters=max_iters)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_tol_not_finite_and_nonnegative_rejected(self, tol):
+        fg = random_factored_gram(8, 2, seed=11)
+        with mock.patch.object(diagnostics, "tangent_phi",
+                               side_effect=AssertionError("Phi built")):
+            with pytest.raises(ValueError, match="tol"):
+                rip_estimate(fg, PairSet.full(8), p=1.0, tol=tol)
 
     @staticmethod
     def _dense_epsilon(fg, pairs, p):

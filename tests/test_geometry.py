@@ -126,6 +126,13 @@ class TestClassicalMds:
         p = classical_mds(d, 1).ravel()
         assert np.allclose(np.sort(p), [-1.0, 1.0], atol=1e-12)
 
+    def test_asymmetric_within_tolerance(self):
+        # d's asymmetry 9e-11 is within 1e-12 of its scale 100; its centred
+        # Gram's 4.5e-11 is not within 1e-12 of that Gram's scale 25
+        d = np.array([[0.0, 100.0], [100.0 + 9e-11, 0.0]])
+        p = classical_mds(d, 1).ravel()
+        assert np.allclose(np.sort(p), [-5.0, 5.0], atol=1e-12)
+
     def test_unit_square(self):
         corners = center_points(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
         d = distances_from_gram(gram_from_points(corners))

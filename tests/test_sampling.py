@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edmc import sampling
-from edmc.geometry import distances_from_gram, gram_from_points
+from edmc.geometry import center_points, distances_from_gram, gram_from_points
 from edmc.sampling import (BLOCK_ELEMS, SAMPLE_BLOCK, NoiseSpec, PairSet,
                            SampledDistances, bernoulli_sample, degrees_of_freedom,
                            observe, observe_points, oversampling_ratio, pair_count,
@@ -202,6 +202,20 @@ class TestObservePoints:
             blocked = observe_points(points, pairs).values
             scale = np.abs(dense).max(initial=0.0)
             assert np.abs(blocked - dense).max(initial=0.0) <= 4 * np.spacing(scale)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_near_coincident_points_are_clamped_at_zero(self, seed):
+        # 50 copies of points of a sphere of radius 1e4, moved by 1e-9
+        # relative: the Gram form rounds their squared distances below 0
+        base = generate(DatasetSpec("sphere_surface", n=200, r=3, seed=seed)) * 1e4
+        points = center_points(np.vstack([base, base[:50] * (1 + 1e-9)]))
+        pairs = PairSet.full(250)
+        gram = gram_from_points(points)
+        g = np.diag(gram)
+        raw = g[pairs.ii] + g[pairs.jj] - 2.0 * gram[pairs.ii, pairs.jj]
+        assert raw.min() < -1e-12
+        data = observe_points(points, pairs)
+        assert np.array_equal(data.values, np.maximum(raw, 0.0))
 
     def test_rejects_a_cloud_that_is_not_centred(self):
         points = _cloud("sphere_surface", 3, 20, noisy=False) + 0.1
