@@ -23,12 +23,12 @@ import numpy as np
 from . import __version__
 from .diagnostics import incoherence
 from .experiments import (ExperimentConfig, GRID_CSV_COLUMNS, grid_rows, run_grid)
-from .geometry import (FactoredGram, factored_gram_from_points, procrustes_error,
-                       read_points_csv, write_points_csv)
+from .geometry import (FactoredGram, center_points, factored_gram_from_points,
+                       procrustes_error, read_points_csv, write_points_csv)
 from .sampling import SampledDistances, bernoulli_sample, observe_points
 from .solver import (CHANGE_TOL_MODES, Problem, SolverConfig, init_one_step,
                      recover_points, solve)
-from .synthdata import DatasetSpec, generate
+from .synthdata import KINDS, DatasetSpec, generate
 
 
 def _config_hash(payload):
@@ -62,14 +62,8 @@ def _fail(code, message, **extra):
 
 
 def _save_gram_json(path, gram: FactoredGram, meta):
-    payload = {
-        "_meta": meta,
-        "n": gram.n,
-        "r": gram.r,
-        "eigs": gram.eigs.tolist(),
-        "U": gram.U.tolist(),
-    }
-    _write_json(path, payload)
+    _write_json(path, {"_meta": meta, "n": gram.n, "r": gram.r,
+                       "eigs": gram.eigs.tolist(), "U": gram.U.tolist()})
 
 
 def _load_gram_json(path):
@@ -86,8 +80,7 @@ def cmd_generate(args):
 
 
 def cmd_sample(args):
-    points = read_points_csv(args.points)
-    points = points - points.mean(axis=0)
+    points = center_points(read_points_csv(args.points))
     pairs = bernoulli_sample(points.shape[0], args.p, args.seed)
     data = observe_points(points, pairs, p=args.p, seed=args.seed)
     data.save(args.out)
@@ -110,8 +103,7 @@ def cmd_solve(args):
     problem = Problem(SampledDistances.load(args.data), rank=args.r)
     truth = truth_points = None
     if args.truth:
-        truth_points = read_points_csv(args.truth)
-        truth_points = truth_points - truth_points.mean(axis=0)
+        truth_points = center_points(read_points_csv(args.truth))
         truth = factored_gram_from_points(truth_points)
     x0 = _load_gram_json(args.init) if args.init else None
     result = solve(problem, x0=x0, config=_solver_config(args), truth=truth)
@@ -153,8 +145,7 @@ def cmd_diagnose(args):
                              f"of the factor in --gram {args.gram}")
     else:
         r = 3 if args.r is None else args.r
-        points = read_points_csv(args.points)
-        cloud = factored_gram_from_points(points - points.mean(axis=0))
+        cloud = factored_gram_from_points(center_points(read_points_csv(args.points)))
         if r > cloud.r:
             raise ValueError(f"--r {r} exceeds the point cloud's dimension {cloud.r}")
         # the thin SVD orders the columns by singular value: the top-r factor
@@ -232,6 +223,10 @@ def _experiment_config_from_json(path, overrides):
     if isinstance(raw, dict):
         raw.update({k: v for k, v in overrides.items() if v is not None})
     top = _config_section(ExperimentConfig, raw, "the top level")
+    for key in ("seed", "r"):
+        if key in top["dataset"]:
+            raise ValueError(f"{key!r} in dataset of the grid config is never read: each "
+                             f"trial draws its cloud with its own seed in the cell's rank")
     top["dataset"] = DatasetSpec(**_config_section(DatasetSpec, top["dataset"], "dataset"))
     if "solver" in top:
         top["solver"] = SolverConfig(**_config_section(SolverConfig, top["solver"], "solver"))
@@ -264,8 +259,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a synthetic point cloud CSV")
-    p.add_argument("--kind", required=True,
-                   choices=["sphere_surface", "swiss_roll", "unit_ball_uniform", "file"])
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)

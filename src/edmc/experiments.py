@@ -10,13 +10,14 @@ from about n=1500 on the final errors differ in their last bits.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import factored_gram_from_points
+from .geometry import center_points, factored_gram_from_points
 from .sampling import (NoiseSpec, bernoulli_sample, observe_points, oversampling_ratio,
                        perturb_points, probability_for_ratio)
 from .solver import Problem, SolveResult, SolverConfig, solve
@@ -39,9 +40,9 @@ class ExperimentConfig:
     """A full grid: dataset x rank grid x sampling grid x noise grid.
 
     For a generator dataset, trial t of a cell draws its cloud with seed
-    ``seed + t`` in the cell's rank: ``dataset.seed`` and ``dataset.r``
-    are replaced, not combined.  A file dataset is the same fixed cloud in
-    every trial; only the sample and the noise change with the seed.
+    ``seed + t`` in the cell's rank, whatever ``dataset.seed`` and
+    ``dataset.r`` hold.  A file dataset is the same fixed cloud in every
+    trial; only the sample and the noise change with the seed.
     """
 
     dataset: DatasetSpec
@@ -61,6 +62,15 @@ class ExperimentConfig:
             raise ValueError("specify exactly one of rho_grid and p_grid")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        bad = ([("rho_grid", v) for v in self.rho_grid if not (math.isfinite(v) and v > 0)]
+               + [("p_grid", v) for v in self.p_grid if not 0.0 < v <= 1.0]
+               + [("gamma_grid", v) for v in self.gamma_grid if v is not None
+                  and not (math.isfinite(v) and v < np.log10(np.finfo(float).max))])
+        if bad:
+            raise ValueError(f"{bad[0][0]} holds {bad[0][1]}: a ratio must be positive and "
+                             f"finite, a probability in (0, 1], and 10**gamma a finite float")
         if self.dataset.kind == "file" and self.dataset.n < 1:
             raise ValueError("a file dataset in a grid needs n, the file's point count: "
                              "the cells derive p from it")
@@ -121,20 +131,15 @@ def run_trial(dataset: DatasetSpec, cell: GridCell, seed: int,
               solver_config: SolverConfig) -> TrialResult:
     """One seeded instance: generate, (perturb,) sample, solve, score.
 
-    Generator datasets are drawn with the trial's ``seed`` and in the
-    cell's rank (points on the sphere in r dimensions when sweeping r):
-    these replace ``dataset.seed`` and ``dataset.r``.  File datasets are
-    fixed and must hold ``dataset.n`` points.  The reported error is
-    always measured against the clean ground truth, so under point noise
-    it is floored by the truth perturbation itself.  The truth is the
-    clean d-dimensional cloud's exact factored Gram, so tracking it costs
-    O(n (r + d)^2) per iteration and needs no n-by-n array; the sampled
-    distances are observed from the points in row blocks of the Gram
-    (:func:`~edmc.sampling.observe_points`), so no step holds one.  A trial whose
-    generation, sampling or solve raises a ``RuntimeError`` or
-    ``ValueError`` (a swiss roll asked for a rank other than 3, say) is
-    recorded as ``degenerate`` with the exception's type and message
-    instead of aborting the grid.
+    Generator datasets are drawn with the trial's ``seed`` in the cell's
+    rank; file datasets are fixed and must hold ``dataset.n`` points.  The
+    error is measured against the clean cloud's exact factored Gram, so
+    point noise floors it; tracking it costs O(n (r + d)^2) per iteration,
+    and neither it nor the observation (:func:`~edmc.sampling.observe_points`)
+    holds an n-by-n array.  A trial whose generation, sampling or solve
+    raises a ``RuntimeError`` or ``ValueError`` (a swiss roll asked for a
+    rank other than 3, say) is recorded as ``degenerate`` with the
+    exception's type and message instead of aborting the grid.
     """
     if dataset.kind == "file":
         points = generate(dataset)
@@ -147,10 +152,8 @@ def run_trial(dataset: DatasetSpec, cell: GridCell, seed: int,
         truth = factored_gram_from_points(points)
         observed_points = points
         if cell.gamma is not None:
-            observed_points = perturb_points(
-                points, NoiseSpec(bound=10.0 ** cell.gamma, seed=seed + 1)
-            )
-            observed_points = observed_points - observed_points.mean(axis=0)
+            observed_points = center_points(perturb_points(
+                points, NoiseSpec(bound=10.0 ** cell.gamma, seed=seed + 1)))
         pairs = bernoulli_sample(points.shape[0], cell.p, seed)
         data = observe_points(observed_points, pairs, p=cell.p, seed=seed)
         problem = Problem(data, rank=cell.r)

@@ -3,7 +3,8 @@ distance matrices, plus classical multidimensional scaling.
 
 Conventions used throughout the package:
 
-* a point cloud is an ``(n, r)`` float array with one point per row;
+* a point cloud is an ``(n, r)`` float array with one point per row, and
+  :func:`center_points` is the one place that centres it;
 * a Gram matrix ``X = P @ P.T`` of a centered cloud is symmetric PSD with
   ``X @ 1 = 0``;
 * a squared distance matrix ``D`` is hollow and symmetric with
@@ -17,6 +18,13 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+#: eigenvalues below ``-NEG_TOL`` times the largest magnitude are not
+#: roundoff: :func:`classical_mds` raises and ``solver.recover_points`` warns
+NEG_TOL = 1e-8
+#: :meth:`FactoredGram.validate`'s bounds on ``|U^T U - I|`` and ``|U^T 1| / sqrt(n)``
+ORTH_TOL, CENTERED_TOL = 1e-10, 1e-8
 
 
 class NotEmbeddableError(ValueError):
@@ -89,11 +97,11 @@ class FactoredGram:
     def norm_fro(self):
         return float(np.linalg.norm(self.eigs))
 
-    def validate(self, orth_tol=1e-10, centered_tol=1e-8):
+    def validate(self):
         UtU = self.U.T @ self.U
-        if np.abs(UtU - np.eye(self.r)).max() > orth_tol:
+        if np.abs(UtU - np.eye(self.r)).max() > ORTH_TOL:
             raise ValueError("factor columns are not orthonormal")
-        if np.abs(self.U.sum(axis=0)).max() > centered_tol * np.sqrt(self.n):
+        if np.abs(self.U.sum(axis=0)).max() > CENTERED_TOL * np.sqrt(self.n):
             raise ValueError("factor columns are not centered (U^T 1 != 0)")
         return self
 
@@ -115,22 +123,19 @@ def gram_frobenius_error(a: FactoredGram, b: FactoredGram) -> float:
 
 
 def center_points(points):
-    """Translate a point cloud so every column sums to zero."""
+    """Translate a point cloud so every column sums to zero: the package's
+    one centring, of every cloud read, generated or perturbed."""
     points = np.asarray(points, dtype=float)
     _check_finite(points, "points")
     return points - points.mean(axis=0)
 
 
-def is_centered(points, tol=1e-10):
-    points = np.asarray(points, dtype=float)
-    scale = max(1.0, np.abs(points).max()) if points.size else 1.0
-    return bool(np.abs(points.sum(axis=0)).max() <= tol * points.shape[0] * scale)
-
-
 def _centered_points(points):
+    # column sums up to 1e-8 * n * max|entry| count as centred
     points = np.asarray(points, dtype=float)
     _check_finite(points, "points")
-    if not is_centered(points, tol=1e-8):
+    scale = max(1.0, np.abs(points).max()) if points.size else 1.0
+    if np.abs(points.sum(axis=0)).max() > 1e-8 * points.shape[0] * scale:
         raise ValueError("points are not centered; call center_points first")
     return points
 
@@ -213,12 +218,12 @@ def truncated_gram(x, r):
     return select_rank(eigvals, eigvecs, r)
 
 
-def classical_mds(d, r, neg_tol=1e-8):
+def classical_mds(d, r):
     """Embed a squared distance matrix into r dimensions.
 
     Eigendecomposes ``-0.5 J D J`` and returns ``U @ sqrt(diag(lam))`` on the
     r leading (largest-magnitude) eigenvalues.  Small negative eigenvalues up
-    to ``neg_tol * lam_max`` are clamped to zero; anything beyond raises
+    to ``NEG_TOL * lam_max`` are clamped to zero; anything beyond raises
     :class:`NotEmbeddableError`.
     """
     b = gram_from_distances(d)
@@ -226,10 +231,10 @@ def classical_mds(d, r, neg_tol=1e-8):
     kept = truncated_gram(0.5 * (b + b.T), r)
     lam = kept.eigs
     scale = np.abs(lam).max() if lam.size else 0.0   # the largest is kept
-    if np.any(lam < -neg_tol * max(scale, 1e-300)):
+    if np.any(lam < -NEG_TOL * max(scale, 1e-300)):
         raise NotEmbeddableError(
             f"leading eigenvalues {lam} include a negative value beyond "
-            f"tolerance {neg_tol * scale:g}; no rank-{r} embedding exists"
+            f"tolerance {NEG_TOL * scale:g}; no rank-{r} embedding exists"
         )
     lam = np.clip(lam, 0.0, None)
     return kept.U * np.sqrt(lam)
@@ -243,14 +248,9 @@ def procrustes_error(a, b):
     the SVD of ``(A^T B)^T``, the product ``scipy.linalg.orthogonal_procrustes``
     decomposes with the same LAPACK driver (gesdd).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    _check_finite(a, "a")
-    _check_finite(b, "b")
-    a = a - a.mean(axis=0)
-    b = b - b.mean(axis=0)
+    if np.shape(a) != np.shape(b):
+        raise ValueError(f"shape mismatch: {np.shape(a)} vs {np.shape(b)}")
+    a, b = center_points(a), center_points(b)
     u, _, vt = np.linalg.svd((a.T @ b).T)
     q = u @ vt
     return float(np.linalg.norm(a - b @ q))

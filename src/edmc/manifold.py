@@ -1,5 +1,6 @@
 """Fixed-rank manifold primitives: tangent-space projection at a factored
-iterate and the structured rank-r retraction.
+iterate and the structured rank-r retraction, which moves from the base
+that its tangent vector carries.
 
 The tangent space at ``X = U diag(eigs) U^T`` is
 ``{U Z^T + Z U^T : Z in R^{n x r}}``; the orthogonal projection of a
@@ -91,17 +92,14 @@ def project_w_expansion(base: FactoredGram, g, pairs: PairSet) -> TangentVector:
     return _split(base, db.w_expand_matvec(g, pairs, base.U))
 
 
-def retract_structured(base: FactoredGram, t: TangentVector, step) -> FactoredGram:
-    """``truncated_gram(base + step * t, r)`` via a thin QR and a 2r core.
+def retract_structured(t: TangentVector, step) -> FactoredGram:
+    """``truncated_gram(t.base + step * t, r)`` via a thin QR and a 2r core.
 
-    The sum lives in span([U | Zu]); a QR of Zu reduces the retraction to
-    the eigendecomposition of a 2r-by-2r symmetric core, keeping the update
-    at O(n r^2) instead of a dense n-by-n eigendecomposition.
+    The sum lives in span([U | Zu]) of the tangent vector's own base; a QR
+    of Zu reduces the retraction to the eigendecomposition of a 2r-by-2r
+    symmetric core: O(n r^2) instead of a dense n-by-n eigendecomposition.
     """
-    if t.base is not base and t.base.U is not base.U:
-        if not (np.array_equal(t.base.U, base.U) and np.array_equal(t.base.eigs, base.eigs)):
-            raise ValueError("tangent vector is not based at the given point")
-    r = base.r
+    base, r = t.base, t.base.r
     if step == 0.0 or (not np.any(t.M) and not np.any(t.Zu)):
         return base
     U = base.U

@@ -195,8 +195,11 @@ class SampledDistances:
                 ii.append(i)
                 jj.append(j)
                 vals.append(d)
-        pairs = PairSet(int(sidecar["n"]), np.asarray(ii), np.asarray(jj))
-        return cls(pairs, np.asarray(vals), p=sidecar.get("p"), seed=sidecar.get("seed"))
+        try:
+            pairs = PairSet(int(sidecar["n"]), np.asarray(ii), np.asarray(jj))
+            return cls(pairs, np.asarray(vals), p=sidecar.get("p"), seed=sidecar.get("seed"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def observe(x_true, pairs: PairSet, p=None, seed=None):
@@ -259,8 +262,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.bound < 0:
-            raise ValueError("noise bound must be nonnegative")
+        if not (np.isfinite(self.bound) and self.bound >= 0):
+            raise ValueError(f"noise bound must be nonnegative and finite, got {self.bound}")
 
 
 def perturb_points(points, spec: NoiseSpec):
@@ -286,6 +289,8 @@ def oversampling_ratio(n, r, p):
 
 def probability_for_ratio(n, r, rho):
     """Bernoulli parameter giving oversampling ratio rho (capped at 1)."""
+    if not (np.isfinite(rho) and rho >= 0):
+        raise ValueError(f"oversampling ratio {rho} must be nonnegative and finite")
     dof = degrees_of_freedom(n, r)
     if dof <= 0:
         raise ValueError(f"degenerate degree-of-freedom count {dof}")

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import dualbasis as db
-from .geometry import (FactoredGram, gram_frobenius_error, magnitude_order,
+from .geometry import (NEG_TOL, FactoredGram, gram_frobenius_error, magnitude_order,
                        truncated_gram)
 from .manifold import TangentVector, project_w_expansion, retract_structured
 from .sampling import PairSet, SampledDistances
@@ -173,7 +173,7 @@ def _lanczos_top(matvec, n, r):
     are checked every 5 steps.  A breakdown (an invariant Krylov space)
     stops with its exact Ritz pairs, which may number fewer than r."""
     steps = min(n, LANCZOS_MAX_STEPS)
-    q = np.empty((steps + 1, n))
+    q = np.empty((min(steps + 1, 64), n))   # grown in place as the steps need
     q[0] = np.arange(n) - (n - 1) / 2.0
     q[0] /= np.linalg.norm(q[0])
     alpha, beta = np.empty(steps), np.empty(steps)
@@ -193,6 +193,8 @@ def _lanczos_top(matvec, n, r):
             if breakdown or (keep.size == r
                              and residual <= LANCZOS_TOL * np.abs(theta).max()):
                 return theta[keep], q[:k + 1].T @ s[:, keep]
+        if k + 1 == len(q):
+            q.resize((min(2 * len(q), steps + 1), n))
         q[k + 1] = w / beta[k]
     raise DegenerateInitError(f"Lanczos did not converge in {steps} steps "
                               f"(largest Ritz residual {residual:.3g})")
@@ -291,7 +293,7 @@ def solve(problem: Problem, x0: FactoredGram | None = None,
                                             truth_err(current) if truth_err else None))
             return _finish(trace, "converged", current)
         alpha = step_size(tangent, pairs, dU=dU)
-        new = retract_structured(current, tangent, alpha)
+        new = retract_structured(tangent, alpha)
         change = gram_frobenius_error(new, current)
         rel_change = change / max(current.norm_fro(), 1e-300)
         rel_err = truth_err(new) if truth_err else None
@@ -314,15 +316,15 @@ def _finish(trace: SolverTrace, status, gram: FactoredGram) -> SolveResult:
     return SolveResult(gram, trace)
 
 
-def recover_points(gram: FactoredGram, neg_tol=1e-8):
+def recover_points(gram: FactoredGram):
     """Embed a factored Gram matrix: ``U sqrt(eigs)`` with clamping.
 
-    Eigenvalues below ``-neg_tol * max|eig|`` trigger a (non-fatal)
+    Eigenvalues below ``-NEG_TOL * max|eig|`` trigger a (non-fatal)
     warning; negatives are clamped to zero either way.
     """
     lam = gram.eigs
     scale = np.abs(lam).max() if lam.size else 0.0
-    if np.any(lam < -neg_tol * max(scale, 1e-300)):
+    if np.any(lam < -NEG_TOL * max(scale, 1e-300)):
         warnings.warn(
             f"Gram factor has a strongly negative eigenvalue (min {lam.min():.3g}); "
             "clamping to zero for the embedding",

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import read_points_csv
+from .geometry import center_points, read_points_csv
 from .sampling import rng_from_seed
 
 KINDS = ("sphere_surface", "swiss_roll", "unit_ball_uniform", "file")
@@ -24,10 +24,9 @@ class DatasetSpec:
     ``swiss_roll`` is intrinsically 3-d (it needs ``r=3``); ``file`` reads
     a point-cloud CSV from ``path``.
 
-    In an experiment grid the spec is a template: for a generator kind,
-    every trial replaces ``seed`` with the trial seed and ``r`` with the
-    cell's rank (see :func:`edmc.experiments.run_trial`), so the values
-    given here are not used there.  File datasets are used as given.
+    In an experiment grid a generator spec is a template: every trial
+    draws with its own seed in the cell's rank (see
+    :func:`edmc.experiments.run_trial`), and a grid config omits both.
     """
 
     kind: str
@@ -49,8 +48,7 @@ class DatasetSpec:
 def generate(spec: DatasetSpec):
     """Centered point cloud for a dataset spec; deterministic per seed."""
     if spec.kind == "file":
-        points = read_points_csv(spec.path)
-        return points - points.mean(axis=0)
+        return center_points(read_points_csv(spec.path))
     rng = rng_from_seed(spec.seed)
     if spec.kind == "sphere_surface":
         g = rng.standard_normal((spec.n, spec.r))
@@ -68,4 +66,4 @@ def generate(spec: DatasetSpec):
         points = np.column_stack([t * np.cos(t), height, t * np.sin(t)])
     else:  # pragma: no cover
         raise AssertionError(spec.kind)
-    return points - points.mean(axis=0)
+    return center_points(points)

@@ -327,7 +327,7 @@ class TestDiagnoseGram:
 
 
 GRID_CONFIG = {
-    "dataset": {"kind": "sphere_surface", "n": 40, "r": 3, "seed": 0},
+    "dataset": {"kind": "sphere_surface", "n": 40},
     "r_grid": [3],
     "rho_grid": [8.0],
     "trials": 3,
@@ -406,6 +406,38 @@ class TestGrid:
 
 
 class TestGridConfigKeys:
+    @staticmethod
+    def _grid_error(tmp_path, capsys, cfg, *extra):
+        path, out = tmp_path / "grid.json", tmp_path / "grid.csv"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["grid", "--config", str(path), "--out", str(out), *extra]) == 2
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ValueError"
+        return err["error"]
+
+    @pytest.mark.parametrize("key", ["seed", "r"])
+    def test_dataset_seed_and_r_rejected(self, tmp_path, capsys, key):
+        # trials draw with their own seed in the cell's rank: these are never read
+        cfg = {**GRID_CONFIG, "dataset": {**GRID_CONFIG["dataset"], key: 3}}
+        error = self._grid_error(tmp_path, capsys, cfg)
+        assert repr(key) in error and "in dataset of" in error
+
+    @pytest.mark.parametrize("patch,key", [
+        ({"rho_grid": [float("nan")]}, "rho_grid"),
+        ({"rho_grid": [float("inf")]}, "rho_grid"),
+        ({"rho_grid": [-1.0]}, "rho_grid"),
+        ({"rho_grid": [], "p_grid": [float("nan")]}, "p_grid"),
+        ({"rho_grid": [], "p_grid": [0.0]}, "p_grid"),
+        ({"gamma_grid": [float("nan")]}, "gamma_grid"),
+        ({"gamma_grid": [400]}, "gamma_grid"),
+    ])
+    def test_bad_grid_value_exits_2(self, tmp_path, capsys, patch, key):
+        assert key in self._grid_error(tmp_path, capsys, {**GRID_CONFIG, **patch})
+
+    def test_workers_below_one_exits_2(self, tmp_path, capsys):
+        assert "workers" in self._grid_error(tmp_path, capsys, GRID_CONFIG, "--workers", "0")
+
     @pytest.mark.parametrize("section,patch,key", [
         ("the top level", {"trails": 1}, "trails"),
         ("dataset", {"dataset": {**GRID_CONFIG["dataset"], "size": 40}}, "size"),

@@ -157,3 +157,32 @@ class TestFileDatasets:
         with pytest.raises(ValueError, match="needs n"):
             ExperimentConfig(dataset=DatasetSpec("file", path=dataset.path),
                              r_grid=(2,), rho_grid=(RHO,))
+
+
+class TestConfigValues:
+    """Grid values are checked when the config is built, not per trial."""
+
+    @pytest.mark.parametrize("key,values", [
+        ("rho_grid", (float("nan"),)), ("rho_grid", (float("inf"),)),
+        ("rho_grid", (0.0,)), ("rho_grid", (5.0, -1.0)),
+        ("p_grid", (float("nan"),)), ("p_grid", (0.0,)), ("p_grid", (1.5,)),
+        ("gamma_grid", (float("nan"),)), ("gamma_grid", (None, float("inf"))),
+        ("gamma_grid", (-float("inf"),)), ("gamma_grid", (309.0,)),
+    ])
+    def test_bad_grid_value_names_its_key(self, key, values):
+        grids = {"rho_grid": (RHO,), key: values}
+        if key == "p_grid":
+            del grids["rho_grid"]
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig(dataset=DatasetSpec("sphere_surface", n=30), r_grid=(2,),
+                             **grids)
+
+    def test_edge_values_pass(self):
+        ExperimentConfig(dataset=DatasetSpec("sphere_surface", n=30), r_grid=(2,),
+                         p_grid=(1.0, 1e-300), gamma_grid=(None, 308.0, -400.0))
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            ExperimentConfig(dataset=DatasetSpec("sphere_surface", n=30), r_grid=(2,),
+                             rho_grid=(RHO,), workers=workers)

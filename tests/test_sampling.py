@@ -255,6 +255,11 @@ class TestPerturbPoints:
         with pytest.raises(ValueError):
             NoiseSpec(-1.0)
 
+    @pytest.mark.parametrize("bound", [np.nan, np.inf])
+    def test_non_finite_bound_rejected(self, bound):
+        with pytest.raises(ValueError, match="noise bound"):
+            NoiseSpec(bound)
+
     def test_deterministic(self):
         p = np.zeros((5, 2))
         a = perturb_points(p, NoiseSpec(0.1, seed=9))
@@ -287,6 +292,15 @@ class TestOversamplingRatio:
     def test_degenerate_denominator(self):
         with pytest.raises(ValueError):
             oversampling_ratio(100, 201, 0.5)
+
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, -1.0])
+    def test_bad_ratio_rejected(self, rho):
+        # min(1.0, nan) would have sampled every pair
+        with pytest.raises(ValueError, match="oversampling ratio"):
+            probability_for_ratio(100, 3, rho)
+
+    def test_zero_ratio_gives_zero_probability(self):
+        assert probability_for_ratio(100, 3, 0.0) == 0.0
 
     @given(st.integers(5, 200), st.integers(1, 4), st.floats(0.01, 1.0))
     @settings(max_examples=50, deadline=None)
@@ -325,6 +339,22 @@ class TestSampledDistancesIO:
         with pytest.raises(ValueError, match=re.escape(f"{path}:3:")) as info:
             SampledDistances.load(path)
         assert repr(row) in str(info.value)
+
+    @pytest.mark.parametrize("rows,message", [
+        ("2,3,1.0\n1,2,4.0", "sorted and unique"),
+        ("1,2,4.0\n1,2,4.0", "sorted and unique"),
+        ("2,1,4.0", "i < j"),
+        ("0,2,4.0", "out of range"),
+        ("1,4,4.0", "out of range"),
+        ("1,2,nan", "non-finite distances at 1 pairs"),
+    ])
+    def test_structural_fault_names_the_file(self, tmp_path, rows, message):
+        path = tmp_path / "d.csv"
+        path.write_text(f"i,j,d\n{rows}\n")
+        path.with_suffix(".json").write_text(json.dumps({"n": 3, "p": None, "seed": None}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")) as info:
+            SampledDistances.load(path)
+        assert message in str(info.value)
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -119,6 +120,29 @@ class TestLanczosTop:
         # the zero operator: the start vector spans an invariant Krylov space
         lam, vecs = solver_module._lanczos_top(np.zeros_like, 50, 3)
         assert lam.tolist() == [0.0] and vecs.shape == (50, 1)
+
+    def test_basis_grown_past_its_first_block_matches_eigh(self):
+        a = self.symmetric(150, seed=7)
+        calls = []
+        lam, vecs = solver_module._lanczos_top(lambda x: calls.append(0) or a @ x, 150, 3)
+        assert len(calls) > 64   # the basis starts with 64 rows
+        w = np.linalg.eigvalsh(a)
+        assert np.abs(lam - w[magnitude_order(w)[:3]]).max() <= 1e-12 * np.abs(w).max()
+        assert np.abs(a @ vecs - vecs * lam).max() <= 1e-12 * np.abs(w).max()
+
+    def test_init_memory_follows_the_steps_taken(self):
+        # 65 steps here; a basis for all LANCZOS_MAX_STEPS alone would
+        # exceed the bound
+        n, p = 1002, 0.05
+        points = generate(DatasetSpec("sphere_surface", n=n, r=3, seed=1))
+        prob = Problem(observe_points(points, bernoulli_sample(n, p, 10_001), p=p), rank=3)
+        tracemalloc.start()
+        try:
+            init_one_step(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
     def test_step_cap_raises(self, monkeypatch):
         a = self.symmetric(60, seed=6)
@@ -244,9 +268,9 @@ class TestTracedFlags:
         real = solver_module.retract_structured
         calls = []
 
-        def tie_on_second(base, t, step):
+        def tie_on_second(t, step):
             calls.append(None)
-            out = real(base, t, step)
+            out = real(t, step)
             return replace(out, boundary_tie=True) if len(calls) == 2 else out
 
         monkeypatch.setattr(solver_module, "retract_structured", tie_on_second)
