@@ -9,9 +9,9 @@ from .geometry import (FactoredGram, NotEmbeddableError, center_points,
                        classical_mds, distances_from_gram, gram_from_distances,
                        gram_from_points, procrustes_error, read_points_csv,
                        write_points_csv)
-from .sampling import (NoiseSpec, PairSet, SampledDistances, bernoulli_sample,
-                       observe, observe_points, oversampling_ratio,
-                       perturb_points, probability_for_ratio)
+from .sampling import (PairSet, SampledDistances, bernoulli_sample, observe,
+                       observe_points, oversampling_ratio, perturb_points,
+                       probability_for_ratio)
 from .manifold import (RankCollapseError, TangentVector, project_tangent,
                        retract_structured)
 from .solver import (DegenerateInitError, DegenerateStepError, Problem,
@@ -26,7 +26,7 @@ __all__ = [
     "FactoredGram", "NotEmbeddableError", "center_points", "classical_mds",
     "distances_from_gram", "gram_from_distances", "gram_from_points",
     "procrustes_error", "read_points_csv", "write_points_csv",
-    "NoiseSpec", "PairSet", "SampledDistances", "bernoulli_sample", "observe",
+    "PairSet", "SampledDistances", "bernoulli_sample", "observe",
     "observe_points", "oversampling_ratio", "perturb_points", "probability_for_ratio",
     "RankCollapseError", "TangentVector", "project_tangent", "retract_structured",
     "DegenerateInitError", "DegenerateStepError", "Problem", "SolveResult",

@@ -67,8 +67,18 @@ def _save_gram_json(path, gram: FactoredGram, meta):
 
 
 def _load_gram_json(path):
+    """The factor in a file of :func:`_save_gram_json`, checked against its n and r."""
     payload = json.loads(Path(path).read_text())
-    return FactoredGram(np.asarray(payload["U"]), np.asarray(payload["eigs"]))
+    for key in ("U", "eigs"):
+        if not isinstance(payload, dict) or key not in payload:
+            raise ValueError(f"{path}: a factor file is a JSON object with U and eigs; "
+                             f"this one has no {key!r}")
+    gram = FactoredGram(np.asarray(payload["U"]), np.asarray(payload["eigs"]))
+    shape = (payload.get("n", gram.n), payload.get("r", gram.r))
+    if shape != (gram.n, gram.r):
+        raise ValueError(f"{path}: the file gives n={shape[0]}, r={shape[1]} "
+                         f"but U is {gram.n} x {gram.r}")
+    return gram
 
 
 def cmd_generate(args):
@@ -83,12 +93,7 @@ def cmd_sample(args):
     points = center_points(read_points_csv(args.points))
     pairs = bernoulli_sample(points.shape[0], args.p, args.seed)
     data = observe_points(points, pairs, p=args.p, seed=args.seed)
-    data.save(args.out)
-    # the JSON sidecar carries the provenance block too
-    sidecar = Path(args.out).with_suffix(".json")
-    payload = json.loads(sidecar.read_text())
-    payload["_meta"] = output_meta(vars(args), args.seed)
-    sidecar.write_text(json.dumps(payload, sort_keys=True))
+    data.save(args.out, meta=output_meta(vars(args), args.seed))
     return 0
 
 
@@ -117,7 +122,6 @@ def cmd_solve(args):
         write_points_csv(args.out_points, points, meta=meta)
     summary = {"_meta": meta, **result.trace.summary()}
     if truth is not None:
-        summary["rel_gram_error"] = result.trace.records[-1].rel_truth_error
         summary["procrustes_error"] = procrustes_error(truth_points, points)
     if args.summary:
         _write_json(args.summary, summary)

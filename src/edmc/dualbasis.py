@@ -138,28 +138,19 @@ def w_expand_matvec(g, pairs: PairSet, V):
     return out
 
 
-def _jpj_on_support(coeffs, pairs: PairSet):
-    """Entries of ``J P_O(T(Y)) J`` at the sampled positions, in O(m + n).
+def rstar_r_coeffs(coeffs, pairs: PairSet):
+    """w-expansion coefficients of the normal operator image, in O(m + n).
 
-    With S the sparse symmetric matrix carrying the coefficients, the
-    J-conjugation is S plus rank-one corrections, so its entry at (i, j)
-    is ``S_ij - (s_i + s_j)/n + t/n^2`` with s the row sums and t their
-    total.
+    ``sum_{a,b in O} c_a <v_a, v_b> w_b`` equals ``sum_b g_b w_b`` with
+    ``g_b`` half the (i, j) entry of ``J P_O(T(Y)) J``.  With S the sparse
+    symmetric matrix carrying the coefficients, the J-conjugation is S plus
+    rank-one corrections, so its entry at (i, j) is
+    ``S_ij - (s_i + s_j)/n + t/n^2`` with s the row sums and t their total.
     """
     n = pairs.n
     c = np.asarray(coeffs, dtype=float)
     s = pair_row_sums(c, pairs)
-    return c - (s[pairs.ii] + s[pairs.jj]) / n + s.sum() / n**2
-
-
-def rstar_r_coeffs(coeffs, pairs: PairSet):
-    """w-expansion coefficients of the normal operator image.
-
-    ``sum_{a,b in O} c_a <v_a, v_b> w_b`` equals ``sum_b g_b w_b`` with
-    ``g_b`` half the (i, j) entry of ``J P_O(T(Y)) J``; this is the sparse
-    plus rank-one bookkeeping behind the O(m) cost.
-    """
-    return 0.5 * _jpj_on_support(coeffs, pairs)
+    return 0.5 * (c - (s[pairs.ii] + s[pairs.jj]) / n + s.sum() / n**2)
 
 
 def m_omega_coeffs(coeffs, pairs: PairSet, p):
@@ -239,14 +230,8 @@ def r_omega_dense(y, pairs: PairSet):
 
 
 def rstar_r_dense(y, pairs: PairSet):
-    n = pairs.n
-    vs = [v_alpha_dense(n, i, j) for i, j in pairs]
-    cs = [w_inner(y, i, j) for i, j in pairs]
-    out = np.zeros((n, n))
-    for b, (i, j) in enumerate(pairs):
-        g = sum(ca * np.sum(va * vs[b]) for ca, va in zip(cs, vs))
-        out += g * w_alpha_dense(n, i, j)
-    return out
+    """The normal operator is the de-biased one at p = 1."""
+    return m_omega_dense(y, pairs, 1.0)
 
 
 def m_omega_dense(y, pairs: PairSet, p):

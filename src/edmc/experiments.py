@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import center_points, factored_gram_from_points
-from .sampling import (NoiseSpec, bernoulli_sample, observe_points, oversampling_ratio,
+from .sampling import (bernoulli_sample, observe_points, oversampling_ratio,
                        perturb_points, probability_for_ratio)
 from .solver import Problem, SolveResult, SolverConfig, solve
 from .synthdata import DatasetSpec, generate
@@ -152,8 +152,8 @@ def run_trial(dataset: DatasetSpec, cell: GridCell, seed: int,
         truth = factored_gram_from_points(points)
         observed_points = points
         if cell.gamma is not None:
-            observed_points = center_points(perturb_points(
-                points, NoiseSpec(bound=10.0 ** cell.gamma, seed=seed + 1)))
+            observed_points = center_points(
+                perturb_points(points, 10.0 ** cell.gamma, seed + 1))
         pairs = bernoulli_sample(points.shape[0], cell.p, seed)
         data = observe_points(observed_points, pairs, p=cell.p, seed=seed)
         problem = Problem(data, rank=cell.r)

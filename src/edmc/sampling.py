@@ -167,8 +167,9 @@ class SampledDistances:
             return float(self.p)
         return self.m / pair_count(self.n)
 
-    def save(self, path):
-        """Write (i, j, d) CSV (1-based indices) plus a JSON sidecar."""
+    def save(self, path, meta=None):
+        """Write (i, j, d) CSV (1-based indices) plus a JSON sidecar
+        ``{n, p, seed, _meta}``, whose ``_meta`` is ``meta`` when given."""
         path = Path(path)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -176,12 +177,16 @@ class SampledDistances:
             for i, j, d in zip(self.pairs.ii, self.pairs.jj, self.values):
                 writer.writerow([int(i) + 1, int(j) + 1, repr(float(d))])
         sidecar = {"n": int(self.n), "p": self.p, "seed": self.seed}
+        if meta is not None:
+            sidecar["_meta"] = meta
         path.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True))
 
     @classmethod
     def load(cls, path):
         path = Path(path)
         sidecar = json.loads(path.with_suffix(".json").read_text())
+        if not isinstance(sidecar, dict) or sidecar.get("n") is None:
+            raise ValueError(f"{path.with_suffix('.json')}: the sidecar has no point count n")
         ii, jj, vals = [], [], []
         with open(path, newline="") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -254,44 +259,30 @@ def observe_points(points, pairs: PairSet, p=None, seed=None):
     return SampledDistances(pairs, values, p=p, seed=seed)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Bounded centered noise: i.i.d. entries uniform on [-bound, bound]."""
-
-    bound: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.bound) and self.bound >= 0):
-            raise ValueError(f"noise bound must be nonnegative and finite, got {self.bound}")
-
-
-def perturb_points(points, spec: NoiseSpec):
-    """Return ``P + N`` with ``||N||_inf <= bound`` by construction."""
+def perturb_points(points, bound, seed):
+    """``P + N`` with N i.i.d. uniform on ``[-bound, bound]``, seeded by ``seed``."""
+    if not (np.isfinite(bound) and bound >= 0):
+        raise ValueError(f"noise bound must be nonnegative and finite, got {bound}")
     points = np.asarray(points, dtype=float)
-    if spec.bound == 0.0:
+    if bound == 0.0:
         return points.copy()
-    noise = rng_from_seed(spec.seed).uniform(-spec.bound, spec.bound, size=points.shape)
-    return points + noise
+    return points + rng_from_seed(seed).uniform(-bound, bound, size=points.shape)
 
 
 def degrees_of_freedom(n, r):
-    return n * r - r * (r - 1) // 2
+    dof = n * r - r * (r - 1) // 2
+    if dof <= 0:
+        raise ValueError(f"degenerate degree-of-freedom count {dof}")
+    return dof
 
 
 def oversampling_ratio(n, r, p):
     """Samples per degree of freedom: ``p L / (n r - r(r-1)/2)``."""
-    dof = degrees_of_freedom(n, r)
-    if dof <= 0:
-        raise ValueError(f"degenerate degree-of-freedom count {dof}")
-    return p * pair_count(n) / dof
+    return p * pair_count(n) / degrees_of_freedom(n, r)
 
 
 def probability_for_ratio(n, r, rho):
     """Bernoulli parameter giving oversampling ratio rho (capped at 1)."""
     if not (np.isfinite(rho) and rho >= 0):
         raise ValueError(f"oversampling ratio {rho} must be nonnegative and finite")
-    dof = degrees_of_freedom(n, r)
-    if dof <= 0:
-        raise ValueError(f"degenerate degree-of-freedom count {dof}")
-    return min(1.0, rho * dof / pair_count(n))
+    return min(1.0, rho * degrees_of_freedom(n, r) / pair_count(n))

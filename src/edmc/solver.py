@@ -252,7 +252,7 @@ def step_size(tangent_g: TangentVector, pairs: PairSet, dU=None):
 
 def _truth_error_fn(truth, n):
     if truth is None:
-        return None
+        return lambda fg: None
     if not isinstance(truth, FactoredGram):
         raise TypeError(f"the truth must be a FactoredGram, not {type(truth).__name__}")
     if truth.n != n:
@@ -278,7 +278,7 @@ def solve(problem: Problem, x0: FactoredGram | None = None,
         raise ValueError(f"x0 has n={x0.n} points but the sample has n={problem.n}")
     pairs, d = problem.data.pairs, problem.data.values
     trace = SolverTrace(data_norm=float(np.linalg.norm(d)))
-    err0 = truth_err(x0) if truth_err else None
+    err0 = truth_err(x0)
 
     current = x0
     for it in range(config.max_iters):
@@ -289,14 +289,13 @@ def solve(problem: Problem, x0: FactoredGram | None = None,
         tangent = project_w_expansion(current, db.rstar_r_coeffs(c, pairs), pairs)
         if tangent.norm_fro() == 0.0:
             # stationary: the sampled residual is invisible to the tangent space
-            trace.records.append(IterRecord(it, 0.0, residual_norm, 0.0,
-                                            truth_err(current) if truth_err else None))
+            trace.records.append(IterRecord(it, 0.0, residual_norm, 0.0, truth_err(current)))
             return _finish(trace, "converged", current)
         alpha = step_size(tangent, pairs, dU=dU)
         new = retract_structured(tangent, alpha)
         change = gram_frobenius_error(new, current)
         rel_change = change / max(current.norm_fro(), 1e-300)
-        rel_err = truth_err(new) if truth_err else None
+        rel_err = truth_err(new)
         trace.records.append(IterRecord(it, float(alpha), residual_norm,
                                         float(rel_change), rel_err,
                                         bool(new.boundary_tie)))
@@ -304,9 +303,9 @@ def solve(problem: Problem, x0: FactoredGram | None = None,
         stop_value = rel_change if config.change_tol_mode == "relative" else change
         if stop_value < config.change_tol:
             return _finish(trace, "converged", current)
-        if rel_err is not None and err0 is not None and err0 > 0:
-            if rel_err > DIVERGENCE_FACTOR * err0:
-                return _finish(trace, "diverged", current)
+        # err0 is None without a truth, and 0 when x0 is the truth
+        if err0 and rel_err > DIVERGENCE_FACTOR * err0:
+            return _finish(trace, "diverged", current)
     return _finish(trace, "max_iters", current)
 
 

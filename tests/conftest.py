@@ -3,7 +3,7 @@ import pytest
 
 from edmc.dualbasis import w_expand_matvec
 from edmc.geometry import FactoredGram, gram_from_points
-from edmc.sampling import NoiseSpec, perturb_points
+from edmc.sampling import perturb_points
 
 
 def centered_orthonormal(n, r, seed):
@@ -46,7 +46,7 @@ def noise_floor(points, bound, seed):
     them returns the perturbed Gram matrix, not the clean one.  This is the
     floor of any recovery error measured against the clean truth.
     """
-    noisy = perturb_points(points, NoiseSpec(bound, seed=seed))
+    noisy = perturb_points(points, bound, seed)
     noisy -= noisy.mean(axis=0)
     truth = gram_from_points(points)
     return np.linalg.norm(gram_from_points(noisy) - truth) / np.linalg.norm(truth)

@@ -66,7 +66,7 @@ class TestPipeline:
         ]) == 0
         payload = json.loads(summary.read_text())
         assert payload["status"] == "converged"
-        assert payload["rel_gram_error"] <= 1e-4
+        assert payload["final_rel_truth_error"] <= 1e-4
         assert payload["procrustes_error"] >= 0.0
         assert trace.exists() and out_gram.exists() and out_points.exists()
 
@@ -86,7 +86,7 @@ class TestPipeline:
         assert payload["status"] == "converged"
         assert 0.0 < payload["final_rel_residual"] < 1e-3
         assert payload["final_min_eig"] > 0.0
-        assert "_meta" in payload and "rel_gram_error" not in payload
+        assert "_meta" in payload and payload["final_rel_truth_error"] is None
 
     def test_truth_of_another_size_names_both_sizes(self, pipeline_dir, capsys):
         truth = pipeline_dir / "truth61.csv"
@@ -126,6 +126,18 @@ class TestPipeline:
         assert set(cli.THREAD_VARS) <= set(meta)
         data = SampledDistances.load(pipeline_dir / "dist.csv")
         assert data.n == 60 and data.p == 0.6 and data.seed == 5
+
+    def test_sidecar_without_n_names_the_sidecar(self, pipeline_dir, capsys):
+        sidecar = pipeline_dir / "dist.json"
+        payload = json.loads(sidecar.read_text())
+        del payload["n"]
+        sidecar.write_text(json.dumps(payload))
+        code = run_cli(["init", "--data", str(pipeline_dir / "dist.csv"), "--r", "3",
+                        "--out", str(pipeline_dir / "init.json")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ValueError"
+        assert str(sidecar) in err["error"] and "point count n" in err["error"]
 
     def test_meta_records_thread_variables_outside_the_hash(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -167,7 +179,7 @@ class TestPipeline:
                         str(points), "--summary", str(summary)]) == 0
         payload = json.loads(summary.read_text())
         assert payload["status"] == "converged"
-        assert payload["rel_gram_error"] <= 1e-10
+        assert payload["final_rel_truth_error"] <= 1e-10
 
     def test_empty_observation_fails_with_json_error(self, tmp_path, capsys):
         points = tmp_path / "p.csv"
@@ -324,6 +336,62 @@ class TestDiagnoseGram:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["type"] == "ValueError"
         assert cause in err["error"] and str(path) in err["error"]
+
+    def _init_payload(self, pipeline_dir):
+        init = pipeline_dir / "init.json"
+        assert run_cli(["init", "--data", str(pipeline_dir / "dist.csv"), "--r", "3",
+                        "--out", str(init)]) == 0
+        return json.loads(init.read_text())
+
+    def _diagnose_error(self, path, capsys):
+        out = path.with_name("c.json")
+        capsys.readouterr()
+        code = run_cli(["diagnose", "--gram", str(path), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ValueError" and str(path) in err["error"]
+        return err["error"]
+
+    @pytest.mark.parametrize("key", ["U", "eigs"])
+    def test_missing_key_is_named(self, key, pipeline_dir, capsys):
+        payload = self._init_payload(pipeline_dir)
+        del payload[key]
+        path = pipeline_dir / "partial.json"
+        path.write_text(json.dumps(payload))
+        assert repr(key) in self._diagnose_error(path, capsys)
+
+    def test_top_level_list_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2, 3]")
+        assert "JSON object" in self._diagnose_error(path, capsys)
+
+    def test_declared_shape_other_than_the_factors_names_both(self, pipeline_dir, capsys):
+        payload = self._init_payload(pipeline_dir)
+        payload.update(n=7, r=9)
+        path = pipeline_dir / "edited.json"
+        path.write_text(json.dumps(payload))
+        error = self._diagnose_error(path, capsys)
+        assert "n=7, r=9" in error and "60 x 3" in error
+
+    def test_factor_without_n_and_r_loads(self, pipeline_dir):
+        payload = self._init_payload(pipeline_dir)
+        del payload["n"], payload["r"]
+        path = pipeline_dir / "bare.json"
+        path.write_text(json.dumps(payload))
+        out = pipeline_dir / "c.json"
+        assert run_cli(["diagnose", "--gram", str(path), "--out", str(out)]) == 0
+
+    def test_solve_init_checks_the_factor_file(self, pipeline_dir, capsys):
+        payload = self._init_payload(pipeline_dir)
+        del payload["U"]
+        path = pipeline_dir / "partial.json"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run_cli(["solve", "--data", str(pipeline_dir / "dist.csv"), "--r", "3",
+                        "--init", str(path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert str(path) in err["error"] and "'U'" in err["error"]
 
 
 GRID_CONFIG = {
@@ -581,4 +649,4 @@ class TestPaperScalePipeline:
                         "--summary", str(summary)]) == 0
         payload = json.loads(summary.read_text())
         assert payload["status"] == "converged"
-        assert payload["rel_gram_error"] <= 1e-5
+        assert payload["final_rel_truth_error"] <= 1e-5

@@ -77,8 +77,9 @@ class TestFactoredTruth:
         assert trial.rel_error < 1e-3
 
     def test_no_square_array(self, monkeypatch):
-        # n=3000, not smaller: the Lanczos init's basis of (min(n, 300) + 1) x n
-        # floats alone passes n^2 * 8 / 4 bytes below about n=1200
+        # n=3000, not smaller: observe_points holds a fixed row block of
+        # BLOCK_ELEMS floats, so the trial peaks near 4.7 MB at n=1002 and passes
+        # n^2 * 8 / 4 bytes below about n=1500; at n=3000 it peaks near 5.9 MB
         n = 3000
 
         def no_dense_gram(*args, **kwargs):

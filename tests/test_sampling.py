@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from edmc import sampling
 from edmc.geometry import center_points, distances_from_gram, gram_from_points
-from edmc.sampling import (BLOCK_ELEMS, SAMPLE_BLOCK, NoiseSpec, PairSet,
+from edmc.sampling import (BLOCK_ELEMS, SAMPLE_BLOCK, PairSet,
                            SampledDistances, bernoulli_sample, degrees_of_freedom,
                            observe, observe_points, oversampling_ratio, pair_count,
                            perturb_points, probability_for_ratio, rng_from_seed)
@@ -165,7 +165,7 @@ def _cloud(kind, d, n, noisy, seed=0):
     """A generated cloud, perturbed and re-centred as ``run_trial`` does when noisy."""
     points = generate(DatasetSpec(kind, n=n, r=d, seed=seed))
     if noisy:
-        points = perturb_points(points, NoiseSpec(1e-2, seed=seed + 1))
+        points = perturb_points(points, 1e-2, seed + 1)
         points = points - points.mean(axis=0)
     return points
 
@@ -237,33 +237,33 @@ class TestObservePoints:
 class TestPerturbPoints:
     def test_zero_bound_identity(self):
         p = np.random.default_rng(0).standard_normal((10, 3))
-        assert np.array_equal(perturb_points(p, NoiseSpec(0.0, seed=1)), p)
+        assert np.array_equal(perturb_points(p, 0.0, 1), p)
 
     def test_sup_norm_bound(self):
         p = np.zeros((100, 3))
-        out = perturb_points(p, NoiseSpec(1e-2, seed=7))
+        out = perturb_points(p, 1e-2, 7)
         assert np.abs(out).max() <= 1e-2
 
     def test_mean_is_centered(self):
         # CLT bound for uniform entries: |mean| <= 3 * bound / sqrt(3 N)
         bound, shape = 0.5, (50000, 2)
-        noise = perturb_points(np.zeros(shape), NoiseSpec(bound, seed=3))
+        noise = perturb_points(np.zeros(shape), bound, 3)
         n_entries = noise.size
         assert abs(noise.mean()) <= 3 * bound / np.sqrt(3 * n_entries)
 
     def test_negative_bound_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(-1.0)
+        with pytest.raises(ValueError, match="noise bound"):
+            perturb_points(np.zeros((3, 2)), -1.0, 0)
 
     @pytest.mark.parametrize("bound", [np.nan, np.inf])
     def test_non_finite_bound_rejected(self, bound):
         with pytest.raises(ValueError, match="noise bound"):
-            NoiseSpec(bound)
+            perturb_points(np.zeros((3, 2)), bound, 0)
 
     def test_deterministic(self):
         p = np.zeros((5, 2))
-        a = perturb_points(p, NoiseSpec(0.1, seed=9))
-        assert np.array_equal(a, perturb_points(p, NoiseSpec(0.1, seed=9)))
+        a = perturb_points(p, 0.1, 9)
+        assert np.array_equal(a, perturb_points(p, 0.1, 9))
 
     @pytest.mark.parametrize("bound", [1e-3, 1e-2, 1e-1])
     def test_sphere_gram_noise_floor(self, bound):
@@ -292,6 +292,10 @@ class TestOversamplingRatio:
     def test_degenerate_denominator(self):
         with pytest.raises(ValueError):
             oversampling_ratio(100, 201, 0.5)
+
+    def test_degrees_of_freedom_reject_a_degenerate_count(self):
+        with pytest.raises(ValueError, match="degenerate degree-of-freedom count"):
+            degrees_of_freedom(100, 201)
 
     @pytest.mark.parametrize("rho", [np.nan, np.inf, -1.0])
     def test_bad_ratio_rejected(self, rho):
@@ -330,6 +334,21 @@ class TestSampledDistancesIO:
         assert rows[1].startswith("1,2,")
         sidecar = json.loads((tmp_path / "d.json").read_text())
         assert sidecar["n"] == 2
+
+    def test_meta_is_the_sidecars_meta(self, tmp_path):
+        data = observe(TWO_POINT_GRAM, PairSet.from_pairs(2, [(0, 1)]), p=1.0, seed=3)
+        data.save(tmp_path / "d.csv", meta={"seed": 3})
+        sidecar = json.loads((tmp_path / "d.json").read_text())
+        assert sidecar == {"n": 2, "p": 1.0, "seed": 3, "_meta": {"seed": 3}}
+        assert SampledDistances.load(tmp_path / "d.csv").seed == 3
+
+    @pytest.mark.parametrize("sidecar", [{"p": None, "seed": None}, {"n": None}, [3]])
+    def test_sidecar_without_n_names_the_sidecar(self, tmp_path, sidecar):
+        path = tmp_path / "d.csv"
+        path.write_text("i,j,d\n1,2,4.0\n")
+        path.with_suffix(".json").write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match=re.escape(f"{path.with_suffix('.json')}: ")):
+            SampledDistances.load(path)
 
     @pytest.mark.parametrize("row", ["3,4", "1,3,abc", "x,3,1.0", "1.5,3,1.0"])
     def test_malformed_row_names_path_and_line(self, tmp_path, row):
