@@ -24,7 +24,7 @@ from . import __version__
 from .diagnostics import incoherence
 from .experiments import (ExperimentConfig, GRID_CSV_COLUMNS, grid_rows, run_grid)
 from .geometry import (FactoredGram, center_points, factored_gram_from_points,
-                       procrustes_error, read_points_csv, write_points_csv)
+                       procrustes_error, read_json, read_points_csv, write_points_csv)
 from .sampling import SampledDistances, bernoulli_sample, observe_points
 from .solver import (CHANGE_TOL_MODES, Problem, SolverConfig, init_one_step,
                      recover_points, solve)
@@ -68,12 +68,15 @@ def _save_gram_json(path, gram: FactoredGram, meta):
 
 def _load_gram_json(path):
     """The factor in a file of :func:`_save_gram_json`, checked against its n and r."""
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path)
     for key in ("U", "eigs"):
         if not isinstance(payload, dict) or key not in payload:
             raise ValueError(f"{path}: a factor file is a JSON object with U and eigs; "
                              f"this one has no {key!r}")
-    gram = FactoredGram(np.asarray(payload["U"]), np.asarray(payload["eigs"]))
+    try:
+        gram = FactoredGram(np.asarray(payload["U"]), np.asarray(payload["eigs"]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     shape = (payload.get("n", gram.n), payload.get("r", gram.r))
     if shape != (gram.n, gram.r):
         raise ValueError(f"{path}: the file gives n={shape[0]}, r={shape[1]} "
@@ -223,7 +226,7 @@ def _experiment_config_from_json(path, overrides):
     and ``solver`` objects name the fields of :class:`ExperimentConfig`,
     :class:`DatasetSpec` and :class:`SolverConfig`; any other key is a
     ``ValueError``.  Non-null ``overrides`` replace top-level keys."""
-    raw = json.loads(Path(path).read_text())
+    raw = read_json(path)
     if isinstance(raw, dict):
         raw.update({k: v for k, v in overrides.items() if v is not None})
     top = _config_section(ExperimentConfig, raw, "the top level")

@@ -110,28 +110,6 @@ def incoherence(x: FactoredGram, cross_terms=True) -> CoherenceReport:
     )
 
 
-def cross_coherence(x: FactoredGram, alpha, beta):
-    """``<P_U w_alpha, P_U w_beta>`` via the row-difference identity.
-
-    Vanishes exactly for disjoint pairs; for pairs sharing an index it is
-    (up to sign) the whitened inner product of the two displacement
-    vectors.
-    """
-    i, j = alpha
-    k, l = beta
-    n = x.n
-    for idx in (i, j, k, l):
-        if not 0 <= idx < n:
-            raise IndexError(f"index {idx} out of range for n={n}")
-    overlap = (
-        float(i == k) - float(i == l) - float(j == k) + float(j == l)
-    )
-    if overlap == 0.0:
-        return 0.0
-    U = x.U
-    return overlap * float((U[i] - U[j]) @ (U[k] - U[l]))
-
-
 def cross_term_max(x: FactoredGram):
     """Max ``|<P_U w_a, P_U w_b>|`` over distinct overlapping pairs.
 
@@ -141,7 +119,7 @@ def cross_term_max(x: FactoredGram):
     whose Cauchy-Schwarz product ``sqrt(d1 d2)`` bounds the row; rows are
     searched in decreasing order of that bound until it falls to the best
     value found.  Every bound is padded for roundoff, so no pair that could
-    win is skipped: the result is :func:`cross_term_max_dense`'s, up to how
+    win is skipped: the result is ``oracles.cross_term_max_dense``'s, up to how
     the BLAS rounds one dot product in blocks of different shapes.
     """
     return _cross_search(x.U, _scan(x.U)[2])
@@ -196,39 +174,14 @@ def _row_cross_max(U, i, best, slack):
     return best
 
 
-def cross_term_max_dense(x: FactoredGram):
-    """Dense oracle for :func:`cross_term_max`: one n-by-n Gram per row."""
-    U = x.U
-    n = x.n
-    best = 0.0
-    for i in range(n):
-        diff = U[i][None, :] - U          # rows: u_i - u_j for all j
-        gram = np.abs(diff @ diff.T)
-        gram[i, :] = 0.0
-        gram[:, i] = 0.0
-        np.fill_diagonal(gram, 0.0)       # j == k would be the same pair
-        best = max(best, float(gram.max()))
-    return best
-
-
-def sum_pairwise_row_distances(x: FactoredGram):
-    """``sum_{i<j} ||u_i - u_j||^2``; equals ``n * r`` for centered factors.
-
-    Closed form ``n sum_i ||u_i||^2 - ||sum_i u_i||^2``, O(n r).
-    """
-    U = x.U
-    total = U.sum(axis=0)
-    return float(x.n * np.sum(U * U) - total @ total)
-
-
 def tangent_phi(x: FactoredGram, pairs: PairSet):
     """The tangent-coefficient map at ``x`` as one m-row CSR matrix ``Phi``.
 
     A tangent vector ``U M U^T + Zu U^T + U Zu^T`` has the Euclidean
     coordinates ``y = [M_kk, sqrt2 M_kl (k < l), sqrt2 vec Zu]``, in which
-    ``y . y'`` is :meth:`TangentVector.inner`; ``Phi y`` is then
-    ``<T, w_a> = du M du^T + 2 (dz . du)`` with du and dz the rows of ``BU``
-    and ``BZu``.  Row a holds ``du_k du_l`` (times sqrt2 off the diagonal) on
+    ``y . y'`` is the Frobenius inner product of the two tangent matrices;
+    ``Phi y`` is then ``<T, w_a> = du M du^T + 2 (dz . du)`` with du and dz
+    the rows of ``BU`` and ``BZu``.  Row a holds ``du_k du_l`` (times sqrt2 off the diagonal) on
     the M coordinates, ``+sqrt2 du`` on row i of Zu and ``-sqrt2 du`` on
     row j: 2r + r(r+1)/2 entries, filled column by column into preallocated
     arrays.  ``Phi.T`` is a view, so ``Phi.T @ g`` gives the coordinates of

@@ -9,8 +9,8 @@ For a pair ``a = (i, j)`` with ``i < j``:
 
 and ``<v_a, w_b> = delta_ab``.  Every operator here consumes a coefficient
 vector ``c[k] = <Y, w_a_k>`` on the sampled pairs, which is the only data
-the completion problem exposes, and has an O(m) fast path plus a dense
-brute-force twin used as a test oracle.
+the completion problem exposes, and runs in O(m); the dense twins that
+the tests hold them to are in :mod:`edmc.oracles`.
 
 The fast paths share one structure: with B the signed pair-incidence
 matrix of the sample (``PairSet.incidence``, row a equal to ``e_i - e_j``),
@@ -31,58 +31,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse import csr_array
 
-from .sampling import PairSet, pair_count
+from .sampling import PairSet
 
 
 def v_norm_sq(n):
     """``||v_a||_F^2 = <v_a, v_a>``, the same for every pair."""
     return 0.5 * (1.0 - 2.0 / n + 2.0 / n**2)
-
-
-def h_inv_entry(n, alpha, beta):
-    """Closed-form entry ``<v_alpha, v_beta>`` of the inverse Gram matrix."""
-    shared = len(set(alpha) & set(beta))
-    if shared == 2:
-        return v_norm_sq(n)
-    if shared == 1:
-        return -1.0 / (2 * n) + 1.0 / n**2
-    return 1.0 / n**2
-
-
-def w_alpha_dense(n, i, j):
-    if not 0 <= i < j < n:
-        raise IndexError(f"pair ({i}, {j}) out of range for n={n}")
-    w = np.zeros((n, n))
-    w[i, i] = w[j, j] = 1.0
-    w[i, j] = w[j, i] = -1.0
-    return w
-
-
-def v_alpha_dense(n, i, j):
-    """Explicit dual element ``-1/2 (a b^T + b a^T)``; rows sum to zero."""
-    if not 0 <= i < j < n:
-        raise IndexError(f"pair ({i}, {j}) out of range for n={n}")
-    a = np.full(n, -1.0 / n)
-    a[i] += 1.0
-    b = np.full(n, -1.0 / n)
-    b[j] += 1.0
-    return -0.5 * (np.outer(a, b) + np.outer(b, a))
-
-
-def w_inner(x, i, j):
-    """``<X, w_(i,j)> = X_ii + X_jj - 2 X_ij`` of a dense X, the dense
-    oracles' coefficient; :func:`w_coeffs_factored` takes a factored X."""
-    x = np.asarray(x, dtype=float)
-    if not (0 <= i < x.shape[0] and 0 <= j < x.shape[0]):
-        raise IndexError(f"pair ({i}, {j}) out of range")
-    return float(x[i, i] + x[j, j] - x[i, j] - x[j, i])
-
-
-def w_coeffs(x, pairs: PairSet):
-    """Vectorized ``<X, w_a>`` over a pair set for a dense symmetric X."""
-    x = np.asarray(x, dtype=float)
-    ii, jj = pairs.ii, pairs.jj
-    return x[ii, ii] + x[jj, jj] - 2.0 * x[ii, jj]
 
 
 def w_coeffs_factored(U, eigs, pairs: PairSet, dU=None):
@@ -199,105 +153,3 @@ def r_omega_operator(coeffs, pairs: PairSet):
         return -0.5 * (a @ x + a.T @ x - s * (xsum / n) - s @ x / n + t * xsum / n**2)
 
     return matvec
-
-
-def sum_v_squared(n):
-    """Closed form ``sum_a v_a^2 = ((n^2 - 2n + 2) / 4n) J``."""
-    if n < 2:
-        raise ValueError("need at least two points")
-    j = np.eye(n) - 1.0 / n
-    return (n**2 - 2 * n + 2) / (4 * n) * j
-
-
-# ---------------------------------------------------------------------------
-# dense oracles: literal sums over explicit basis matrices, for testing
-
-
-def f_omega_dense(y, pairs: PairSet):
-    n = pairs.n
-    out = np.zeros((n, n))
-    for i, j in pairs:
-        out += w_inner(y, i, j) * w_alpha_dense(n, i, j)
-    return out
-
-
-def r_omega_dense(y, pairs: PairSet):
-    n = pairs.n
-    out = np.zeros((n, n))
-    for i, j in pairs:
-        out += w_inner(y, i, j) * v_alpha_dense(n, i, j)
-    return out
-
-
-def rstar_r_dense(y, pairs: PairSet):
-    """The normal operator is the de-biased one at p = 1."""
-    return m_omega_dense(y, pairs, 1.0)
-
-
-def m_omega_dense(y, pairs: PairSet, p):
-    n = pairs.n
-    vs = [v_alpha_dense(n, i, j) for i, j in pairs]
-    cs = [w_inner(y, i, j) for i, j in pairs]
-    out = np.zeros((n, n))
-    for b, (i, j) in enumerate(pairs):
-        g = 0.0
-        for a in range(len(vs)):
-            scale = p if a == b else 1.0
-            g += scale * cs[a] * np.sum(vs[a] * vs[b])
-        out += g * w_alpha_dense(n, i, j)
-    return out
-
-
-def s_basis(n):
-    """Orthonormal basis of the zero-row-sum symmetric matrices.
-
-    Conjugates the canonical symmetric basis of (n-1)-space by an
-    orthonormal basis of the complement of the all-ones vector, giving
-    L = n(n-1)/2 mutually orthonormal matrices.
-    """
-    j = np.eye(n) - 1.0 / n
-    v = np.linalg.svd(j)[0][:, : n - 1]
-    basis = []
-    for a in range(n - 1):
-        for b in range(a, n - 1):
-            e = np.zeros((n - 1, n - 1))
-            if a == b:
-                e[a, a] = 1.0
-            else:
-                e[a, b] = e[b, a] = 1.0 / np.sqrt(2.0)
-            basis.append(v @ e @ v.T)
-    return np.array(basis)
-
-
-_DENSE_OPS = {
-    "f_omega": lambda y, pairs, p: f_omega_dense(y, pairs),
-    "r_omega": lambda y, pairs, p: r_omega_dense(y, pairs),
-    "rstar_r": lambda y, pairs, p: rstar_r_dense(y, pairs),
-    "m_omega": m_omega_dense,
-}
-
-
-def dense_operator_matrix(op, pairs: PairSet, p=None, basis=None):
-    """Materialize an operator on the orthonormal basis of the ambient space.
-
-    Entry (k, l) is ``<B_k, op(B_l)>`` for the basis from :func:`s_basis`;
-    self-adjoint operators give symmetric matrices whose eigenvalues are the
-    operator spectrum.  Guarded to small n, this is the exact oracle the
-    fast paths are tested against.
-    """
-    n = pairs.n
-    if n > 20:
-        raise ValueError("dense operator materialization is limited to n <= 20")
-    if op not in _DENSE_OPS:
-        raise ValueError(f"unknown operator {op!r}; choose from {sorted(_DENSE_OPS)}")
-    if op == "m_omega" and p is None:
-        raise ValueError("m_omega needs the sampling probability p")
-    if basis is None:
-        basis = s_basis(n)
-    fn = _DENSE_OPS[op]
-    L = pair_count(n)
-    out = np.zeros((L, L))
-    for l in range(L):
-        image = fn(basis[l], pairs, p)
-        out[:, l] = np.einsum("kij,ij->k", basis, image)
-    return out

@@ -1,5 +1,7 @@
-"""Conversions among point clouds, centered Gram matrices, and squared
-distance matrices, plus classical multidimensional scaling.
+"""Point clouds and their centered Gram matrices, dense and factored:
+centring, rank-r truncation, Procrustes alignment and the package's file
+readers.  The dense conversions to and from squared distance matrices and
+classical multidimensional scaling are in :mod:`edmc.oracles`.
 
 Conventions used throughout the package:
 
@@ -15,20 +17,18 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 
 #: eigenvalues below ``-NEG_TOL`` times the largest magnitude are not
-#: roundoff: :func:`classical_mds` raises and ``solver.recover_points`` warns
+#: roundoff: ``oracles.classical_mds`` raises and ``solver.recover_points`` warns
 NEG_TOL = 1e-8
 #: :meth:`FactoredGram.validate`'s bounds on ``|U^T U - I|`` and ``|U^T 1| / sqrt(n)``
 ORTH_TOL, CENTERED_TOL = 1e-10, 1e-8
-
-
-class NotEmbeddableError(ValueError):
-    """Raised when a distance matrix has no rank-r Euclidean embedding."""
 
 
 def _check_finite(a, name):
@@ -165,33 +165,6 @@ def factored_gram_from_points(points):
     return FactoredGram(U, s * s)
 
 
-def distances_from_gram(x):
-    """Squared distance matrix of a Gram matrix.
-
-    ``D[i, j] = X[i, i] + X[j, j] - 2 X[i, j]``; the result is hollow and
-    symmetric, and entrywise nonnegative whenever ``x`` is PSD.
-    """
-    x = _check_symmetric(x, "gram matrix")
-    _check_finite(x, "gram matrix")
-    d = np.diag(x)
-    out = d[:, None] + d[None, :] - 2.0 * x
-    np.fill_diagonal(out, 0.0)
-    return out
-
-
-def gram_from_distances(d):
-    """Centered Gram matrix ``-0.5 * J D J`` of a squared distance matrix.
-
-    ``J = I - (1/n) 11^T`` is the centering projector, so the output always
-    has zero row sums up to roundoff.
-    """
-    d = _check_symmetric(d, "distance matrix")
-    _check_finite(d, "distance matrix")
-    row = d.mean(axis=1)
-    total = row.mean()
-    return -0.5 * (d - row[:, None] - row[None, :] + total)
-
-
 def select_rank(eigvals, eigvecs, r):
     """Keep the r largest-magnitude eigenpairs, flagging degeneracies.
 
@@ -218,28 +191,6 @@ def truncated_gram(x, r):
     return select_rank(eigvals, eigvecs, r)
 
 
-def classical_mds(d, r):
-    """Embed a squared distance matrix into r dimensions.
-
-    Eigendecomposes ``-0.5 J D J`` and returns ``U @ sqrt(diag(lam))`` on the
-    r leading (largest-magnitude) eigenvalues.  Small negative eigenvalues up
-    to ``NEG_TOL * lam_max`` are clamped to zero; anything beyond raises
-    :class:`NotEmbeddableError`.
-    """
-    b = gram_from_distances(d)
-    # made exactly symmetric: d passed a symmetry tolerance that b may not
-    kept = truncated_gram(0.5 * (b + b.T), r)
-    lam = kept.eigs
-    scale = np.abs(lam).max() if lam.size else 0.0   # the largest is kept
-    if np.any(lam < -NEG_TOL * max(scale, 1e-300)):
-        raise NotEmbeddableError(
-            f"leading eigenvalues {lam} include a negative value beyond "
-            f"tolerance {NEG_TOL * scale:g}; no rank-{r} embedding exists"
-        )
-    lam = np.clip(lam, 0.0, None)
-    return kept.U * np.sqrt(lam)
-
-
 def procrustes_error(a, b):
     """Residual ``min_Q ||A - B Q||_F`` over orthogonal Q, after centering.
 
@@ -257,7 +208,15 @@ def procrustes_error(a, b):
 
 
 # ---------------------------------------------------------------------------
-# point-cloud files: CSV, one row per point, optional header, '#' comments
+# files: point-cloud CSV (one row per point, header, '#' comments) and JSON
+
+
+def read_json(path):
+    """The JSON value in a file; a parse error names the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_points_csv(path, points, meta=None):
@@ -271,7 +230,8 @@ def write_points_csv(path, points, meta=None):
 
 
 def read_points_csv(path):
-    """Read a point cloud CSV; rejects ragged rows, skips comments/header."""
+    """Read a point cloud CSV; rejects ragged rows and non-finite values,
+    skips comments/header."""
     rows = []
     width = None
     with open(path, newline="") as fh:
@@ -284,6 +244,8 @@ def read_points_csv(path):
                 if rows:
                     raise ValueError(f"{path}:{lineno}: non-numeric row after data")
                 continue  # header line
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{lineno}: non-finite value in {','.join(raw)!r}")
             if width is None:
                 width = len(row)
             elif len(row) != width:

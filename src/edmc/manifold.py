@@ -45,12 +45,6 @@ class TangentVector:
         # Zu is orthogonal to U, so the cross blocks are mutually orthogonal
         return float(np.sqrt(np.sum(self.M**2) + 2.0 * np.sum(self.Zu**2)))
 
-    def inner(self, other: "TangentVector"):
-        return float(np.sum(self.M * other.M) + 2.0 * np.sum(self.Zu * other.Zu))
-
-    def scale(self, c):
-        return TangentVector(self.base, c * self.M, c * self.Zu)
-
     def matrix(self):
         U = self.base.U
         return U @ self.M @ U.T + self.Zu @ U.T + U @ self.Zu.T
@@ -76,15 +70,6 @@ def _split(base: FactoredGram, yu) -> TangentVector:
     M = U.T @ yu
     M = 0.5 * (M + M.T)
     return TangentVector(base, M, yu - U @ M)
-
-
-def project_tangent(base: FactoredGram, y) -> TangentVector:
-    """Orthogonal projection of a symmetric matrix onto the tangent space.
-
-    ``y`` may be dense or scipy-sparse; the cost is one product ``y @ U``
-    plus O(n r^2) dense work.
-    """
-    return _split(base, np.asarray(y @ base.U))
 
 
 def project_w_expansion(base: FactoredGram, g, pairs: PairSet) -> TangentVector:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse import csr_array
 
-from .geometry import _centered_points
+from .geometry import _centered_points, read_json
 
 
 def rng_from_seed(seed):
@@ -184,7 +184,7 @@ class SampledDistances:
     @classmethod
     def load(cls, path):
         path = Path(path)
-        sidecar = json.loads(path.with_suffix(".json").read_text())
+        sidecar = read_json(path.with_suffix(".json"))
         if not isinstance(sidecar, dict) or sidecar.get("n") is None:
             raise ValueError(f"{path.with_suffix('.json')}: the sidecar has no point count n")
         ii, jj, vals = [], [], []

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 import edmc.dualbasis as db
-from edmc.diagnostics import cross_coherence, incoherence
+from edmc import oracles
+from edmc.diagnostics import incoherence
 from edmc.experiments import ExperimentConfig, GridCell, grid_rows, run_cell, run_grid
 from edmc.geometry import (gram_from_points, gram_frobenius_error,
                            truncated_gram)
-from edmc.manifold import project_tangent
+from edmc.manifold import TangentVector
 from edmc.sampling import (PairSet, bernoulli_sample, observe,
                            probability_for_ratio)
 from edmc.solver import Problem, SolverConfig, init_one_step, solve, step_size
@@ -65,13 +66,14 @@ def test_criterion_01_operator_oracle_equivalence():
             pairs = bernoulli_sample(n, p, seed=int(rng.integers(2**31)))
             if len(pairs) == 0:
                 pairs = PairSet.from_pairs(n, [(0, 1)])
-            coeffs = db.w_coeffs(y, pairs)
+            coeffs = oracles.w_coeffs(y, pairs)
             images = [
-                (expand(coeffs, pairs), db.f_omega_dense(y, pairs)),
-                (db.r_omega_apply(coeffs, pairs), db.r_omega_dense(y, pairs)),
-                (expand(db.rstar_r_coeffs(coeffs, pairs), pairs), db.rstar_r_dense(y, pairs)),
+                (expand(coeffs, pairs), oracles.f_omega_dense(y, pairs)),
+                (db.r_omega_apply(coeffs, pairs), oracles.r_omega_dense(y, pairs)),
+                (expand(db.rstar_r_coeffs(coeffs, pairs), pairs),
+                 oracles.m_omega_dense(y, pairs, 1.0)),
                 (expand(db.m_omega_coeffs(coeffs, pairs, p), pairs),
-                 db.m_omega_dense(y, pairs, p)),
+                 oracles.m_omega_dense(y, pairs, p)),
             ]
             for fast, dense in images:
                 scale = max(np.linalg.norm(dense), 1e-300)
@@ -88,26 +90,26 @@ def test_criterion_02_closed_form_identities():
 
     for n in range(3, 9):
         pairs_all = list(itertools.combinations(range(n), 2))
-        mats = [db.w_alpha_dense(n, i, j) for i, j in pairs_all]
+        mats = [oracles.w_alpha_dense(n, i, j) for i, j in pairs_all]
         h = np.array([[np.sum(a * b) for b in mats] for a in mats])
         hinv = np.linalg.inv(h)
-        closed = np.array([[db.h_inv_entry(n, a, b) for b in pairs_all] for a in pairs_all])
+        closed = np.array([[oracles.h_inv_entry(n, a, b) for b in pairs_all] for a in pairs_all])
         ok &= np.abs(closed - hinv).max() <= 1e-10
         ok &= abs(np.linalg.eigvalsh(h).max() - 2 * n) <= 1e-9
         if n >= 4:
             # at n=3 no disjoint pairs exist and the extreme value is 1/3
             ok &= abs(np.linalg.eigvalsh(hinv).max() - 0.5) <= 1e-9
         for i, j in pairs_all:
-            ok &= abs(np.linalg.norm(db.w_alpha_dense(n, i, j), 2) - 2.0) <= 1e-10
-            ok &= abs(np.linalg.norm(db.v_alpha_dense(n, i, j), 2) - 0.5) <= 1e-10
+            ok &= abs(np.linalg.norm(oracles.w_alpha_dense(n, i, j), 2) - 2.0) <= 1e-10
+            ok &= abs(np.linalg.norm(oracles.v_alpha_dense(n, i, j), 2) - 0.5) <= 1e-10
     details.append("H^-1 entries, lam_max(H)=2n, lam_max(H^-1)=1/2 (n>=4), |w|=2, |v|=1/2")
 
     for n in range(2, 8):
         brute = np.zeros((n, n))
         for i, j in itertools.combinations(range(n), 2):
-            v = db.v_alpha_dense(n, i, j)
+            v = oracles.v_alpha_dense(n, i, j)
             brute += v @ v
-        ok &= np.abs(brute - db.sum_v_squared(n)).max() <= 1e-12
+        ok &= np.abs(brute - oracles.sum_v_squared(n)).max() <= 1e-12
     details.append("sum v^2 closed form at n=2..7")
     assert report("C2", ok, "; ".join(details))
 
@@ -116,13 +118,13 @@ def test_criterion_02_closed_form_identities():
 def test_criterion_03_debiasing_expectation():
     """Monte Carlo mean of the de-biased operator is p^2 I entrywise."""
     n, p, draws = 8, 0.5, 20000
-    basis = db.s_basis(n)
+    basis = oracles.s_basis(n)
     pairs_all = list(itertools.combinations(range(n), 2))
     L = len(pairs_all)
     wt = np.zeros((L, L))
     for a, (i, j) in enumerate(pairs_all):
         wt[:, a] = basis[:, i, i] + basis[:, j, j] - 2 * basis[:, i, j]
-    g = np.array([[db.h_inv_entry(n, a, b) for b in pairs_all] for a in pairs_all])
+    g = np.array([[oracles.h_inv_entry(n, a, b) for b in pairs_all] for a in pairs_all])
 
     def draw_matrix(mask):
         k = np.where(np.outer(mask, mask), g, 0.0)
@@ -135,7 +137,8 @@ def test_criterion_03_debiasing_expectation():
     codes = {pair: idx for idx, pair in enumerate(pairs_all)}
     for pair in check_pairs:
         mask_check[codes[pair]] = True
-    direct = db.dense_operator_matrix("m_omega", check_pairs, p=p, basis=basis)
+    direct = oracles.dense_operator_matrix(
+        lambda y: oracles.m_omega_dense(y, check_pairs, p), n, basis=basis)
     agreement = np.abs(draw_matrix(mask_check) - direct).max()
     assert agreement <= 1e-12
 
@@ -315,7 +318,6 @@ def test_criterion_08_initialization_quality():
 
 def test_criterion_09_geometry_identities():
     """Row-spread sum, disjoint cross terms, and the triangle's parameter."""
-    from edmc.diagnostics import sum_pairwise_row_distances
     from edmc.geometry import FactoredGram
 
     ok = True
@@ -326,7 +328,7 @@ def test_criterion_09_geometry_identities():
         r = int(rng.integers(1, min(5, n - 1)))
         u = centered_orthonormal(n, r, seed=int(rng.integers(2**31)))
         fg = FactoredGram(u, np.ones(r))
-        worst = max(worst, abs(sum_pairwise_row_distances(fg) - n * r))
+        worst = max(worst, abs(oracles.sum_pairwise_row_distances(fg) - n * r))
     ok &= worst <= 1e-9
 
     for n in (4, 6, 8):
@@ -334,7 +336,7 @@ def test_criterion_09_geometry_identities():
         for a in itertools.combinations(range(n), 2):
             for b in itertools.combinations(range(n), 2):
                 if not set(a) & set(b):
-                    ok &= cross_coherence(fg, a, b) == 0.0
+                    ok &= oracles.cross_coherence(fg, a, b) == 0.0
 
     triangle = incoherence(FactoredGram(TRIANGLE_U, np.array([1.0, 1.0])))
     ok &= abs(triangle.nu - 1.5) <= 1e-12
@@ -354,7 +356,7 @@ def test_criterion_10_step_size_sanity():
     """Exact unit step at full sampling; scale invariance of the quotient."""
     problem, truth = sphere_instance(30, 2, 1.0, 3)
     x0 = init_one_step(problem)
-    tangent = project_tangent(x0, random_centered_symmetric(30, seed=8))
+    tangent = oracles.project_tangent(x0, random_centered_symmetric(30, seed=8))
     pairs = problem.data.pairs
     zc = tangent.w_coeffs(pairs)
     # the normal operator's quotient, and the de-biased operator's formed directly
@@ -366,7 +368,7 @@ def test_criterion_10_step_size_sanity():
     alpha_base = step_size(tangent, pairs)
     drift = 0.0
     for c in (1e-3, -2.0, 512.0):
-        alpha_scaled = step_size(tangent.scale(c), pairs)
+        alpha_scaled = step_size(TangentVector(x0, c * tangent.M, c * tangent.Zu), pairs)
         drift = max(drift, abs(alpha_scaled - alpha_base) / abs(alpha_base))
     ok &= drift <= 1e-12
     assert report("C10", ok, f"|alpha - 1| at p=1: {max(deviations):.2e}; "

@@ -393,6 +393,39 @@ class TestDiagnoseGram:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert str(path) in err["error"] and "'U'" in err["error"]
 
+    @pytest.mark.parametrize("command", ["diagnose", "solve"])
+    def test_factor_the_type_rejects_names_its_file(self, command, pipeline_dir, capsys):
+        payload = self._init_payload(pipeline_dir)
+        payload["eigs"] = payload["eigs"][:2]
+        path = pipeline_dir / "cut.json"
+        path.write_text(json.dumps(payload))
+        args = {"diagnose": ["diagnose", "--gram", str(path),
+                             "--out", str(pipeline_dir / "c.json")],
+                "solve": ["solve", "--data", str(pipeline_dir / "dist.csv"), "--r", "3",
+                          "--init", str(path)]}[command]
+        capsys.readouterr()
+        assert run_cli(args) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ValueError"
+        assert err["error"] == f"{path}: U must be (n, r) with one eigenvalue per column"
+
+
+@pytest.mark.parametrize("command", ["diagnose", "init", "grid"])
+def test_unparsable_json_names_the_file(command, pipeline_dir, capsys):
+    # a factor file, a sample's sidecar and a grid config
+    bad = pipeline_dir / ("dist.json" if command == "init" else "bad.json")
+    bad.write_text("{bad")
+    out = str(pipeline_dir / "out")
+    args = {"diagnose": ["diagnose", "--gram", str(bad), "--out", out],
+            "init": ["init", "--data", str(pipeline_dir / "dist.csv"), "--r", "3",
+                     "--out", out],
+            "grid": ["grid", "--config", str(bad), "--out", out]}[command]
+    capsys.readouterr()
+    assert run_cli(args) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["type"] == "ValueError"
+    assert err["error"].startswith(f"{bad}: Expecting property name")
+
 
 GRID_CONFIG = {
     "dataset": {"kind": "sphere_surface", "n": 40},

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edmc import diagnostics, sampling
-from edmc.diagnostics import (ANALYSIS_NU_SCALE, cross_coherence, cross_term_max,
-                              cross_term_max_dense, incoherence, rip_estimate,
-                              sum_pairwise_row_distances)
+from edmc.diagnostics import ANALYSIS_NU_SCALE, cross_term_max, incoherence, rip_estimate
 from edmc.geometry import FactoredGram
-from edmc.manifold import TangentVector, project_tangent, project_w_expansion
+from edmc.manifold import TangentVector, project_w_expansion
+from edmc.oracles import (cross_coherence, cross_term_max_dense, m_omega_dense,
+                          project_tangent, s_basis, sum_pairwise_row_distances,
+                          w_alpha_dense)
 from edmc.sampling import PairSet, bernoulli_sample
 
 from conftest import random_centered_symmetric, random_factored_gram
@@ -25,8 +26,6 @@ TRIANGLE = FactoredGram(TRIANGLE_U, np.array([1.0, 1.0]))
 
 def dense_projected_inner(u, alpha, beta):
     """Oracle: <P_U w_a, P_U w_b> with explicit projector and basis matrices."""
-    from edmc.dualbasis import w_alpha_dense
-
     n = u.shape[0]
     pu = u @ u.T
     wa = pu @ w_alpha_dense(n, *alpha)
@@ -316,9 +315,7 @@ class TestRipEstimate:
 
     @staticmethod
     def _dense_epsilon(fg, pairs, p):
-        import edmc.dualbasis as db
-
-        basis = db.s_basis(fg.n)
+        basis = s_basis(fg.n)
         pu = fg.U @ fg.U.T
 
         def proj_t(y):
@@ -327,7 +324,7 @@ class TestRipEstimate:
         L = len(basis)
         theta = np.zeros((L, L))
         for l in range(L):
-            image = proj_t(db.m_omega_dense(proj_t(basis[l]), pairs, p))
+            image = proj_t(m_omega_dense(proj_t(basis[l]), pairs, p))
             image -= p**2 * proj_t(basis[l])
             theta[:, l] = np.einsum("kij,ij->k", basis, image)
         return np.abs(np.linalg.eigvalsh(theta)).max() / p**2
@@ -401,7 +398,8 @@ class TestTangentPhi:
         fg = random_factored_gram(n, r, seed=seed)
         a = project_tangent(fg, random_centered_symmetric(n, seed))
         b = project_tangent(fg, random_centered_symmetric(n, seed + 100))
-        assert tangent_coords(a) @ tangent_coords(b) == pytest.approx(a.inner(b), rel=1e-12)
+        assert tangent_coords(a) @ tangent_coords(b) == pytest.approx(
+            np.sum(a.matrix() * b.matrix()), rel=1e-10)
 
     @pytest.mark.parametrize("n,r,p,seed", [(30, 1, 0.5, 0), (40, 3, 0.3, 1), (25, 4, 0.8, 2)])
     def test_phi_gives_the_tangent_coefficients(self, n, r, p, seed):

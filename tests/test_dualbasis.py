@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import edmc.dualbasis as db
+from edmc import oracles
 from edmc.sampling import PairSet, bernoulli_sample, pair_count
 
 from conftest import expand, random_centered_symmetric, random_factored_gram
@@ -14,7 +15,7 @@ TWO_POINT_GRAM = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 def dense_h(n):
     pairs = list(itertools.combinations(range(n), 2))
-    mats = [db.w_alpha_dense(n, i, j) for i, j in pairs]
+    mats = [oracles.w_alpha_dense(n, i, j) for i, j in pairs]
     return np.array([[np.sum(a * b) for b in mats] for a in mats]), pairs
 
 
@@ -24,7 +25,7 @@ class TestClosedForms:
         h, pairs = dense_h(n)
         hinv = np.linalg.inv(h)
         closed = np.array(
-            [[db.h_inv_entry(n, a, b) for b in pairs] for a in pairs]
+            [[oracles.h_inv_entry(n, a, b) for b in pairs] for a in pairs]
         )
         assert np.abs(closed - hinv).max() <= 1e-10
 
@@ -42,57 +43,57 @@ class TestClosedForms:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_basis_spectral_norms(self, n):
         for i, j in itertools.combinations(range(n), 2):
-            assert np.linalg.norm(db.w_alpha_dense(n, i, j), 2) == pytest.approx(2.0, abs=1e-10)
-            assert np.linalg.norm(db.v_alpha_dense(n, i, j), 2) == pytest.approx(0.5, abs=1e-10)
+            assert np.linalg.norm(oracles.w_alpha_dense(n, i, j), 2) == pytest.approx(2.0, abs=1e-10)
+            assert np.linalg.norm(oracles.v_alpha_dense(n, i, j), 2) == pytest.approx(0.5, abs=1e-10)
 
     def test_constants_match_dense(self):
         for n in (4, 7):
-            v = db.v_alpha_dense(n, 0, 1)
-            v2 = db.v_alpha_dense(n, 0, 2)
-            v3 = db.v_alpha_dense(n, 2, 3)
+            v = oracles.v_alpha_dense(n, 0, 1)
+            v2 = oracles.v_alpha_dense(n, 0, 2)
+            v3 = oracles.v_alpha_dense(n, 2, 3)
             assert db.v_norm_sq(n) == pytest.approx(np.sum(v * v), abs=1e-14)
-            assert db.h_inv_entry(n, (0, 1), (0, 1)) == db.v_norm_sq(n)
-            assert db.h_inv_entry(n, (0, 1), (0, 2)) == pytest.approx(np.sum(v * v2), abs=1e-14)
-            assert db.h_inv_entry(n, (0, 1), (2, 3)) == pytest.approx(np.sum(v * v3), abs=1e-14)
+            assert oracles.h_inv_entry(n, (0, 1), (0, 1)) == db.v_norm_sq(n)
+            assert oracles.h_inv_entry(n, (0, 1), (0, 2)) == pytest.approx(np.sum(v * v2), abs=1e-14)
+            assert oracles.h_inv_entry(n, (0, 1), (2, 3)) == pytest.approx(np.sum(v * v3), abs=1e-14)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_biorthogonality_exhaustive(self, n):
         pairs = list(itertools.combinations(range(n), 2))
         for a in pairs:
-            va = db.v_alpha_dense(n, *a)
+            va = oracles.v_alpha_dense(n, *a)
             for b in pairs:
                 expect = 1.0 if a == b else 0.0
-                got = np.sum(va * db.w_alpha_dense(n, *b))
+                got = np.sum(va * oracles.w_alpha_dense(n, *b))
                 assert abs(got - expect) <= 1e-12
 
 
 class TestVAlphaDense:
     def test_n2_explicit(self):
-        v = db.v_alpha_dense(2, 0, 1)
+        v = oracles.v_alpha_dense(2, 0, 1)
         assert np.allclose(v, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-15)
-        assert np.sum(v * db.w_alpha_dense(2, 0, 1)) == pytest.approx(1.0, abs=1e-15)
+        assert np.sum(v * oracles.w_alpha_dense(2, 0, 1)) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_row_sums(self):
         for n in (3, 5, 8):
             for i, j in [(0, 1), (1, n - 1)]:
-                assert np.abs(db.v_alpha_dense(n, i, j).sum(axis=1)).max() <= 1e-15
+                assert np.abs(oracles.v_alpha_dense(n, i, j).sum(axis=1)).max() <= 1e-15
 
     def test_index_guard(self):
         with pytest.raises(IndexError):
-            db.v_alpha_dense(4, 2, 2)
+            oracles.v_alpha_dense(4, 2, 2)
 
 
 class TestWInner:
     def test_two_point(self):
-        assert db.w_inner(TWO_POINT_GRAM, 0, 1) == 4.0
+        assert oracles.w_inner(TWO_POINT_GRAM, 0, 1) == 4.0
 
     def test_identity_input(self):
-        assert db.w_inner(np.eye(3), 0, 1) == 2.0
+        assert oracles.w_inner(np.eye(3), 0, 1) == 2.0
 
     def test_vectorized_coeffs(self):
         fg = random_factored_gram(9, 2, seed=8)
         pairs = bernoulli_sample(9, 0.7, seed=1)
-        dense = db.w_coeffs(fg.matrix(), pairs)
+        dense = oracles.w_coeffs(fg.matrix(), pairs)
         fact = db.w_coeffs_factored(fg.U, fg.eigs, pairs)
         assert np.abs(dense - fact).max() <= 1e-12
 
@@ -103,7 +104,7 @@ def random_instance(n, seed, p=0.5):
     pairs = bernoulli_sample(n, p, seed=seed + 1)
     if len(pairs) == 0:
         pairs = PairSet.from_pairs(n, [(0, 1)])
-    coeffs = db.w_coeffs(y, pairs)
+    coeffs = oracles.w_coeffs(y, pairs)
     return y, pairs, coeffs
 
 
@@ -120,14 +121,14 @@ class TestFOmega:
     def test_matches_dense_oracle(self):
         y, pairs, coeffs = random_instance(9, seed=2)
         fast = expand(coeffs, pairs)
-        assert np.abs(fast - db.f_omega_dense(y, pairs)).max() <= 1e-12
+        assert np.abs(fast - oracles.f_omega_dense(y, pairs)).max() <= 1e-12
 
 
 class TestROmega:
     def test_full_sampling_is_identity(self):
         y = random_centered_symmetric(7, seed=3)
         pairs = PairSet.full(7)
-        out = db.r_omega_apply(db.w_coeffs(y, pairs), pairs)
+        out = db.r_omega_apply(oracles.w_coeffs(y, pairs), pairs)
         assert np.abs(out - y).max() <= 1e-11 * max(1, np.abs(y).max())
 
     def test_empty_is_zero(self):
@@ -137,7 +138,7 @@ class TestROmega:
     def test_matches_dense_oracle(self):
         y, pairs, coeffs = random_instance(8, seed=5)
         fast = db.r_omega_apply(coeffs, pairs)
-        assert np.abs(fast - db.r_omega_dense(y, pairs)).max() <= 1e-11
+        assert np.abs(fast - oracles.r_omega_dense(y, pairs)).max() <= 1e-11
 
     def test_operator_matches_materialization(self):
         y, pairs, coeffs = random_instance(10, seed=6)
@@ -151,7 +152,7 @@ class TestROmega:
         # no repeated indices, so applying the sampler twice changes nothing
         y, pairs, coeffs = random_instance(8, seed=7)
         once = db.r_omega_apply(coeffs, pairs)
-        twice = db.r_omega_apply(db.w_coeffs(once, pairs), pairs)
+        twice = db.r_omega_apply(oracles.w_coeffs(once, pairs), pairs)
         assert np.abs(once - twice).max() <= 1e-11
 
     def test_image_in_zero_row_sum_space(self):
@@ -165,7 +166,7 @@ class TestRstarR:
     def test_full_sampling_is_identity(self):
         y = random_centered_symmetric(6, seed=9)
         pairs = PairSet.full(6)
-        out = expand(db.rstar_r_coeffs(db.w_coeffs(y, pairs), pairs), pairs)
+        out = expand(db.rstar_r_coeffs(oracles.w_coeffs(y, pairs), pairs), pairs)
         assert np.abs(out - y).max() <= 1e-11 * max(1, np.abs(y).max())
 
     def test_single_pair_closed_form(self):
@@ -173,13 +174,13 @@ class TestRstarR:
         pairs = PairSet.from_pairs(n, [(1, 4)])
         c = 2.5
         out = expand(db.rstar_r_coeffs(np.array([c]), pairs), pairs)
-        expect = c * 0.5 * (1 - 2 / n + 2 / n**2) * db.w_alpha_dense(n, 1, 4)
+        expect = c * 0.5 * (1 - 2 / n + 2 / n**2) * oracles.w_alpha_dense(n, 1, 4)
         assert np.abs(out - expect).max() <= 1e-13
 
     def test_matches_dense_oracle(self):
         y, pairs, coeffs = random_instance(8, seed=10)
         fast = expand(db.rstar_r_coeffs(coeffs, pairs), pairs)
-        assert np.abs(fast - db.rstar_r_dense(y, pairs)).max() <= 1e-11
+        assert np.abs(fast - oracles.m_omega_dense(y, pairs, 1.0)).max() <= 1e-11
 
     def test_positive_semidefinite_quadratic_form(self):
         # <Y, R*R Y> = ||R_omega Y||_F^2 >= 0 for any input
@@ -193,7 +194,7 @@ class TestMOmega:
     def test_full_sampling_p_one_identity(self):
         y = random_centered_symmetric(6, seed=11)
         pairs = PairSet.full(6)
-        out = expand(db.m_omega_coeffs(db.w_coeffs(y, pairs), pairs, p=1.0), pairs)
+        out = expand(db.m_omega_coeffs(oracles.w_coeffs(y, pairs), pairs, p=1.0), pairs)
         assert np.abs(out - y).max() <= 1e-11 * max(1, np.abs(y).max())
 
     def test_single_pair_any_p(self):
@@ -201,13 +202,13 @@ class TestMOmega:
         pairs = PairSet.from_pairs(n, [(2, 5)])
         c = -1.7
         out = expand(db.m_omega_coeffs(np.array([c]), pairs, p), pairs)
-        expect = p * c * 0.5 * (1 - 2 / n + 2 / n**2) * db.w_alpha_dense(n, 2, 5)
+        expect = p * c * 0.5 * (1 - 2 / n + 2 / n**2) * oracles.w_alpha_dense(n, 2, 5)
         assert np.abs(out - expect).max() <= 1e-13
 
     def test_matches_dense_oracle(self):
         y, pairs, coeffs = random_instance(10, seed=12)
         fast = expand(db.m_omega_coeffs(coeffs, pairs, p=0.5), pairs)
-        dense = db.m_omega_dense(y, pairs, p=0.5)
+        dense = oracles.m_omega_dense(y, pairs, p=0.5)
         assert np.abs(fast - dense).max() <= 1e-11
 
     def test_p_zero_rejected(self):
@@ -278,7 +279,7 @@ class TestWExpand:
             return
         g = rng.standard_normal(len(pairs))
         v = rng.standard_normal((n, 3))
-        dense = sum(ga * db.w_alpha_dense(n, i, j) for ga, (i, j) in zip(g, pairs))
+        dense = sum(ga * oracles.w_alpha_dense(n, i, j) for ga, (i, j) in zip(g, pairs))
         direct = dense @ v
         assert np.abs(db.w_expand_matvec(g, pairs, v) - direct).max() <= 1e-12 * max(
             1, np.abs(direct).max()
@@ -288,12 +289,13 @@ class TestWExpand:
 class TestDenseOperatorMatrix:
     def test_identity_at_full_sampling(self):
         pairs = PairSet.full(5)
-        theta = db.dense_operator_matrix("m_omega", pairs, p=1.0)
+        theta = oracles.dense_operator_matrix(lambda y: oracles.m_omega_dense(y, pairs, 1.0), 5)
         assert np.abs(theta - np.eye(pair_count(5))).max() <= 1e-11
 
     def test_frame_spectrum_matches_h(self):
         n = 6
-        theta = db.dense_operator_matrix("f_omega", PairSet.full(n))
+        pairs = PairSet.full(n)
+        theta = oracles.dense_operator_matrix(lambda y: oracles.f_omega_dense(y, pairs), n)
         h, _ = dense_h(n)
         got = np.sort(np.linalg.eigvalsh(theta))
         expect = np.sort(np.linalg.eigvalsh(h))
@@ -302,40 +304,37 @@ class TestDenseOperatorMatrix:
 
     def test_m_omega_matrix_symmetric(self):
         pairs = bernoulli_sample(7, 0.5, seed=3)
-        theta = db.dense_operator_matrix("m_omega", pairs, p=0.5)
+        theta = oracles.dense_operator_matrix(lambda y: oracles.m_omega_dense(y, pairs, 0.5), 7)
         assert np.abs(theta - theta.T).max() <= 1e-12
 
     def test_guards(self):
+        pairs = PairSet.full(21)
         with pytest.raises(ValueError):
-            db.dense_operator_matrix("f_omega", PairSet.full(21))
-        with pytest.raises(ValueError):
-            db.dense_operator_matrix("nope", PairSet.full(5))
-        with pytest.raises(ValueError):
-            db.dense_operator_matrix("m_omega", PairSet.full(5))  # p missing
+            oracles.dense_operator_matrix(lambda y: oracles.f_omega_dense(y, pairs), 21)
 
 
 class TestSumVSquared:
     def test_n3_closed_form(self):
         j = np.eye(3) - 1.0 / 3
-        assert np.abs(db.sum_v_squared(3) - (5.0 / 12) * j).max() <= 1e-15
+        assert np.abs(oracles.sum_v_squared(3) - (5.0 / 12) * j).max() <= 1e-15
 
     def test_n2_closed_form(self):
         j = np.eye(2) - 1.0 / 2
-        assert np.abs(db.sum_v_squared(2) - 0.25 * j).max() <= 1e-15
+        assert np.abs(oracles.sum_v_squared(2) - 0.25 * j).max() <= 1e-15
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_brute_force(self, n):
         brute = np.zeros((n, n))
         for i, j in itertools.combinations(range(n), 2):
-            v = db.v_alpha_dense(n, i, j)
+            v = oracles.v_alpha_dense(n, i, j)
             brute += v @ v
-        assert np.abs(brute - db.sum_v_squared(n)).max() <= 1e-12
+        assert np.abs(brute - oracles.sum_v_squared(n)).max() <= 1e-12
 
 
 class TestSBasis:
     def test_orthonormal_and_in_s(self):
         for n in (4, 7):
-            basis = db.s_basis(n)
+            basis = oracles.s_basis(n)
             assert basis.shape[0] == pair_count(n)
             gram = np.einsum("aij,bij->ab", basis, basis)
             assert np.abs(gram - np.eye(len(basis))).max() <= 1e-12
@@ -346,17 +345,20 @@ class TestSBasis:
     def test_fast_paths_match_operator_matrices(self):
         # encode/decode through the orthonormal basis and compare images
         n, p = 6, 0.6
-        basis = db.s_basis(n)
+        basis = oracles.s_basis(n)
         for seed in range(3):
             y, pairs, coeffs = random_instance(n, seed=40 + seed, p=p)
             ycoord = np.einsum("kij,ij->k", basis, y)
-            for op, fast in [
-                ("f_omega", expand(coeffs, pairs)),
-                ("r_omega", db.r_omega_apply(coeffs, pairs)),
-                ("rstar_r", expand(db.rstar_r_coeffs(coeffs, pairs), pairs)),
-                ("m_omega", expand(db.m_omega_coeffs(coeffs, pairs, p), pairs)),
+            for op, dense, fast in [
+                ("f_omega", lambda y: oracles.f_omega_dense(y, pairs), expand(coeffs, pairs)),
+                ("r_omega", lambda y: oracles.r_omega_dense(y, pairs),
+                 db.r_omega_apply(coeffs, pairs)),
+                ("rstar_r", lambda y: oracles.m_omega_dense(y, pairs, 1.0),
+                 expand(db.rstar_r_coeffs(coeffs, pairs), pairs)),
+                ("m_omega", lambda y: oracles.m_omega_dense(y, pairs, p),
+                 expand(db.m_omega_coeffs(coeffs, pairs, p), pairs)),
             ]:
-                theta = db.dense_operator_matrix(op, pairs, p=p, basis=basis)
+                theta = oracles.dense_operator_matrix(dense, n, basis=basis)
                 image = np.einsum("k,kij->ij", theta @ ycoord, basis)
                 scale = max(np.abs(image).max(), 1e-300)
                 assert np.abs(image - fast).max() <= 1e-10 * scale, op

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edmc.geometry import (FactoredGram, NotEmbeddableError, center_points,
-                           classical_mds, distances_from_gram,
-                           factored_gram_from_points, gram_from_distances,
-                           gram_from_points,
-                           gram_frobenius_error, magnitude_order,
+from edmc.geometry import (FactoredGram, center_points, factored_gram_from_points,
+                           gram_from_points, gram_frobenius_error, magnitude_order,
                            procrustes_error, read_points_csv, truncated_gram,
                            write_points_csv)
+from edmc.oracles import (NotEmbeddableError, classical_mds, distances_from_gram,
+                          gram_from_distances)
 from edmc.synthdata import DatasetSpec, generate
 
 from conftest import (centered_orthonormal, random_centered_gram,
@@ -309,3 +308,11 @@ class TestPointsCsv:
         path.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(ValueError, match="ragged"):
             read_points_csv(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, token):
+        path = tmp_path / "p.csv"
+        path.write_text(f"x,y\n1.0,2.0\n3.0,{token}\n")
+        with pytest.raises(ValueError, match="non-finite") as info:
+            read_points_csv(path)
+        assert str(info.value).startswith(f"{path}:3: ")

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edmc.dualbasis import w_coeffs
 from edmc.geometry import truncated_gram
-from edmc.manifold import (RankCollapseError, TangentVector, project_tangent,
-                           project_w_expansion, retract_structured)
+from edmc.manifold import (RankCollapseError, TangentVector, project_w_expansion,
+                           retract_structured)
+from edmc.oracles import project_tangent, w_coeffs
 from edmc.sampling import bernoulli_sample
 
 from conftest import expand, random_centered_symmetric, random_factored_gram
@@ -131,12 +131,6 @@ class TestTangentVector:
         fg = random_factored_gram(9, 3, seed=15)
         t = self._random_tangent(fg, 16)
         assert t.norm_fro() == pytest.approx(np.linalg.norm(t.matrix()), rel=1e-12)
-
-    def test_inner_matches_dense(self):
-        fg = random_factored_gram(9, 3, seed=17)
-        a = self._random_tangent(fg, 18)
-        b = self._random_tangent(fg, 19)
-        assert a.inner(b) == pytest.approx(np.sum(a.matrix() * b.matrix()), rel=1e-10)
 
     def test_w_coeffs_keep_index_arithmetic(self):
         # the incidence products round exactly like the index gathers that

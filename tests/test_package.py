@@ -29,7 +29,7 @@ from edmc import (DatasetSpec, Problem, bernoulli_sample, generate, incoherence,
                   init_one_step, observe_points, rip_estimate, solve)
 from edmc.geometry import factored_gram_from_points
 
-LAZY = ("scipy.linalg", "scipy.sparse.linalg")
+LAZY = ("scipy.linalg", "scipy.sparse.linalg", "edmc.oracles")
 
 
 def loaded():
@@ -63,5 +63,5 @@ def test_no_call_loads_arpack_or_lapack():
     out = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT], env=env,
                          capture_output=True, text=True, check=True)
     steps = json.loads(out.stdout)
-    assert steps == {"import": [False, False], "n=300": [False, False],
-                     "n=600 init": [False, False]}
+    assert steps == {"import": [False] * 3, "n=300": [False] * 3,
+                     "n=600 init": [False] * 3}

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edmc import sampling
-from edmc.geometry import center_points, distances_from_gram, gram_from_points
+from edmc.geometry import center_points, gram_from_points
+from edmc.oracles import distances_from_gram
 from edmc.sampling import (BLOCK_ELEMS, SAMPLE_BLOCK, PairSet,
                            SampledDistances, bernoulli_sample, degrees_of_freedom,
                            observe, observe_points, oversampling_ratio, pair_count,
