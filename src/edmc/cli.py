@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import incoherence
 from .experiments import (ExperimentConfig, GRID_CSV_COLUMNS, grid_rows, run_grid)
-from .geometry import (FactoredGram, center_points, factored_gram_from_points,
+from .geometry import (FactoredGram, center_points, factored_gram_from_points, is_int,
                        procrustes_error, read_json, read_points_csv, write_points_csv)
 from .sampling import SampledDistances, bernoulli_sample, observe_points
 from .solver import (CHANGE_TOL_MODES, Problem, SolverConfig, init_one_step,
@@ -141,6 +141,8 @@ def _solver_config(args):
 
 
 def cmd_diagnose(args):
+    if args.r is not None and args.r < 1:
+        raise ValueError(f"--r must be at least 1, got {args.r}")
     if args.gram:
         gram = _load_gram_json(args.gram)
         try:
@@ -165,10 +167,6 @@ def cmd_diagnose(args):
     return 0
 
 
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -176,7 +174,7 @@ def _is_number(v):
 #: what a grid config value must be, by the annotation of its field:
 #: (description, test of one JSON value)
 _VALUE_TYPES = {
-    "int": ("an integer", _is_int),
+    "int": ("an integer", is_int),
     "float": ("a number", _is_number),
     "str": ("a string", lambda v: isinstance(v, str)),
     "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
@@ -186,7 +184,7 @@ _VALUE_TYPES = {
 
 #: the grids of ExperimentConfig: (description, test of one list entry)
 _GRID_TYPES = {
-    "r_grid": ("a list of integers", _is_int),
+    "r_grid": ("a list of integers", is_int),
     "rho_grid": ("a list of numbers", _is_number),
     "p_grid": ("a list of numbers", _is_number),
     "gamma_grid": ("a list of numbers or nulls", lambda v: v is None or _is_number(v)),

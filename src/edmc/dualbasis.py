@@ -39,13 +39,9 @@ def v_norm_sq(n):
     return 0.5 * (1.0 - 2.0 / n + 2.0 / n**2)
 
 
-def w_coeffs_factored(U, eigs, pairs: PairSet, dU=None):
-    """``<U diag(eigs) U^T, w_a>`` in O(m r): row differences ``BU`` of U.
-
-    ``dU``, when given, is ``pairs.incidence @ U`` formed by the caller.
-    """
-    if dU is None:
-        dU = pairs.incidence @ U
+def w_coeffs_factored(dU, eigs):
+    """``<U diag(eigs) U^T, w_a> = ((BU) * (BU)) eigs`` in O(m r), from the
+    row differences ``dU = pairs.incidence @ U``."""
     return (dU * dU) @ eigs
 
 

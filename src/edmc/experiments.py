@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import center_points, factored_gram_from_points
+from .geometry import center_points, check_int_fields, factored_gram_from_points, is_int
 from .sampling import (bernoulli_sample, observe_points, oversampling_ratio,
                        perturb_points, probability_for_ratio)
 from .solver import Problem, SolveResult, SolverConfig, solve
@@ -58,6 +58,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.r_grid:
             raise ValueError("empty rank grid")
+        check_int_fields(self, "trials", "seed", "workers")
+        bad = [r for r in self.r_grid if not is_int(r)]
+        if bad:
+            raise ValueError(f"r_grid holds {bad[0]!r}: a rank must be an integer")
         if bool(self.rho_grid) == bool(self.p_grid):
             raise ValueError("specify exactly one of rho_grid and p_grid")
         if self.trials < 1:

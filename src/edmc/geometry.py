@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,6 +45,20 @@ def _check_symmetric(a, name):
         if np.abs(a - a.T).max() > 1e-12 * max(1.0, np.abs(a).max()):
             raise ValueError(f"{name} must be symmetric")
     return a
+
+
+def is_int(v):
+    """A Python or numpy integer, not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def check_int_fields(obj, *names):
+    """Raise a ``ValueError`` naming the first field of ``obj`` among
+    ``names`` that does not hold an integer."""
+    for name in names:
+        value = getattr(obj, name)
+        if not is_int(value):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 def magnitude_order(eigvals):

@@ -49,17 +49,10 @@ class TangentVector:
         U = self.base.U
         return U @ self.M @ U.T + self.Zu @ U.T + U @ self.Zu.T
 
-    def w_coeffs(self, pairs: PairSet, dU=None):
+    def w_coeffs(self, pairs: PairSet, dU):
         """``<T, w_a> = du M du^T + 2 dz . du`` in O(m r), du and dz the rows
-        of ``BU`` and ``BZu``.
-
-        ``dU``, when given, is ``pairs.incidence @ base.U`` formed by the
-        caller; the incidence product rounds each column on its own, so
-        supplying it changes no bit of the result.
-        """
+        of ``dU = pairs.incidence @ base.U`` and ``BZu``."""
         B, U = pairs.incidence, self.base.U
-        if dU is None:
-            dU = B @ U
         return (np.einsum("ij,ij->i", B @ (U @ self.M), dU)
                 + 2.0 * np.einsum("ij,ij->i", B @ self.Zu, dU))
 

@@ -101,7 +101,8 @@ def v_alpha_dense(n, i, j):
 
 def w_inner(x, i, j):
     """``<X, w_(i,j)> = X_ii + X_jj - 2 X_ij`` of a dense X;
-    ``dualbasis.w_coeffs_factored`` takes a factored X."""
+    ``dualbasis.w_coeffs_factored`` takes the row differences ``BU`` of
+    a factored X."""
     x = np.asarray(x, dtype=float)
     if not (0 <= i < x.shape[0] and 0 <= j < x.shape[0]):
         raise IndexError(f"pair ({i}, {j}) out of range")

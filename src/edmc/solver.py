@@ -31,8 +31,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import dualbasis as db
-from .geometry import (NEG_TOL, FactoredGram, gram_frobenius_error, magnitude_order,
-                       truncated_gram)
+from .geometry import (NEG_TOL, FactoredGram, check_int_fields, gram_frobenius_error,
+                       magnitude_order, truncated_gram)
 from .manifold import TangentVector, project_w_expansion, retract_structured
 from .sampling import PairSet, SampledDistances
 
@@ -100,6 +100,7 @@ class SolverConfig:
     change_tol_mode: str = "relative"
 
     def __post_init__(self):
+        check_int_fields(self, "max_iters")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not (np.isfinite(self.change_tol) and self.change_tol > 0):
@@ -227,13 +228,13 @@ def init_one_step(problem: Problem) -> FactoredGram:
     return FactoredGram(vecs, lam / p)
 
 
-def step_size(tangent_g: TangentVector, pairs: PairSet, dU=None):
+def step_size(tangent_g: TangentVector, pairs: PairSet, dU):
     """Exact step-size quotient ``<T, T> / <T, A(T)>`` for a projected
     gradient direction T, with A the normal operator ``R*R``.
 
     The quotient is scale invariant in the tangent vector.  A zero or
     non-finite quotient term raises :class:`DegenerateStepError`.
-    ``dU`` is the base's ``pairs.incidence @ U`` when the caller has it.
+    ``dU`` is the base's ``pairs.incidence @ U``.
     """
     num = tangent_g.norm_fro() ** 2
     if num == 0.0:
@@ -284,14 +285,14 @@ def solve(problem: Problem, x0: FactoredGram | None = None,
     for it in range(config.max_iters):
         # BU serves both the residual and the step's tangent coefficients
         dU = pairs.incidence @ current.U
-        c = d - db.w_coeffs_factored(current.U, current.eigs, pairs, dU)
+        c = d - db.w_coeffs_factored(dU, current.eigs)
         residual_norm = float(np.linalg.norm(c))
         tangent = project_w_expansion(current, db.rstar_r_coeffs(c, pairs), pairs)
         if tangent.norm_fro() == 0.0:
             # stationary: the sampled residual is invisible to the tangent space
             trace.records.append(IterRecord(it, 0.0, residual_norm, 0.0, truth_err(current)))
             return _finish(trace, "converged", current)
-        alpha = step_size(tangent, pairs, dU=dU)
+        alpha = step_size(tangent, pairs, dU)
         new = retract_structured(tangent, alpha)
         change = gram_frobenius_error(new, current)
         rel_change = change / max(current.norm_fro(), 1e-300)

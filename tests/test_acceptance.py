@@ -358,17 +358,18 @@ def test_criterion_10_step_size_sanity():
     x0 = init_one_step(problem)
     tangent = oracles.project_tangent(x0, random_centered_symmetric(30, seed=8))
     pairs = problem.data.pairs
-    zc = tangent.w_coeffs(pairs)
+    dU = pairs.incidence @ x0.U
+    zc = tangent.w_coeffs(pairs, dU)
     # the normal operator's quotient, and the de-biased operator's formed directly
-    alphas = (step_size(tangent, pairs),
+    alphas = (step_size(tangent, pairs, dU),
               tangent.norm_fro() ** 2 / float(db.m_omega_coeffs(zc, pairs, 1.0) @ zc))
     deviations = [abs(alpha - 1.0) for alpha in alphas]
     ok = max(deviations) <= 1e-12
 
-    alpha_base = step_size(tangent, pairs)
+    alpha_base = step_size(tangent, pairs, dU)
     drift = 0.0
     for c in (1e-3, -2.0, 512.0):
-        alpha_scaled = step_size(TangentVector(x0, c * tangent.M, c * tangent.Zu), pairs)
+        alpha_scaled = step_size(TangentVector(x0, c * tangent.M, c * tangent.Zu), pairs, dU)
         drift = max(drift, abs(alpha_scaled - alpha_base) / abs(alpha_base))
     ok &= drift <= 1e-12
     assert report("C10", ok, f"|alpha - 1| at p=1: {max(deviations):.2e}; "

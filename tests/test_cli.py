@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -290,6 +291,17 @@ class TestDiagnosePoints:
         assert err["type"] == "ValueError"
         assert "5" in err["error"] and "dimension 4" in err["error"]
 
+    @pytest.mark.parametrize("rank", ["0", "-1"])
+    def test_rank_below_one_names_the_flag(self, rank, cloud, tmp_path, capsys):
+        _, path = cloud
+        out = tmp_path / "c.json"
+        assert run_cli(["diagnose", "--points", str(path), "--r", rank,
+                        "--out", str(out)]) == 2
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ValueError"
+        assert "--r" in err["error"] and rank in err["error"]
+
 
 class TestDiagnoseGram:
     def _gram_file(self, path, U, eigs):
@@ -504,6 +516,25 @@ class TestGrid:
         rows = [line for line in out.read_text().splitlines()[2:] if line]
         assert len(rows) == 1
         assert rows[0].split(",")[3] == "-2.0"
+
+    def test_seed_flag_overrides_the_config_seed(self, tmp_path):
+        def run(name, cfg, *extra):
+            out = tmp_path / f"{name}.csv"
+            assert run_cli(["grid", "--config", str(cfg), "--out", str(out), *extra]) == 0
+            meta_line, *lines = out.read_text().splitlines()
+            meta = json.loads(meta_line.removeprefix("# meta: "))
+            rows = list(csv.DictReader(lines))
+            for row in rows:
+                del row["wall_time_s"]
+            return meta, rows
+
+        small = {"dataset": {"kind": "sphere_surface", "n": 30}, "trials": 1}
+        flag_meta, flag_rows = run("flag", self._write_config(tmp_path, **small), "--seed", "7")
+        cfg = tmp_path / "seeded.json"
+        cfg.write_text(json.dumps({**GRID_CONFIG, **small, "seed": 7}))
+        config_meta, config_rows = run("config", cfg)
+        assert flag_meta["seed"] == config_meta["seed"] == 7
+        assert flag_rows == config_rows
 
 
 class TestGridConfigKeys:

@@ -409,7 +409,7 @@ class TestTangentPhi:
         assert phi.shape == (pairs.m, r * (r + 1) // 2 + n * r)
         assert phi.nnz == pairs.m * (2 * r + r * (r + 1) // 2)
         tv = project_tangent(fg, random_centered_symmetric(n, seed))
-        ref = tv.w_coeffs(pairs)
+        ref = tv.w_coeffs(pairs, pairs.incidence @ fg.U)
         assert np.linalg.norm(phi @ tangent_coords(tv) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n,r,p,seed", [(30, 1, 0.5, 0), (40, 3, 0.3, 1), (25, 4, 0.8, 2)])

@@ -94,7 +94,7 @@ class TestWInner:
         fg = random_factored_gram(9, 2, seed=8)
         pairs = bernoulli_sample(9, 0.7, seed=1)
         dense = oracles.w_coeffs(fg.matrix(), pairs)
-        fact = db.w_coeffs_factored(fg.U, fg.eigs, pairs)
+        fact = db.w_coeffs_factored(pairs.incidence @ fg.U, fg.eigs)
         assert np.abs(dense - fact).max() <= 1e-12
 
 
@@ -228,7 +228,8 @@ class TestWCoeffsFactored:
         fg = random_factored_gram(25, 3, seed=11, psd=False)
         pairs = bernoulli_sample(25, 0.4, seed=12)
         du = fg.U[pairs.ii] - fg.U[pairs.jj]
-        assert np.array_equal(db.w_coeffs_factored(fg.U, fg.eigs, pairs), (du * du) @ fg.eigs)
+        dU = pairs.incidence @ fg.U
+        assert np.array_equal(db.w_coeffs_factored(dU, fg.eigs), (du * du) @ fg.eigs)
 
 
 class TestPairOrderedScatters:

@@ -182,6 +182,33 @@ class TestConfigValues:
         ExperimentConfig(dataset=DatasetSpec("sphere_surface", n=30), r_grid=(2,),
                          p_grid=(1.0, 1e-300), gamma_grid=(None, 308.0, -400.0))
 
+    @pytest.mark.parametrize("field,value", [
+        ("trials", 2.5), ("workers", 1.5), ("seed", 1.5), ("seed", "3"), ("trials", True),
+        ("r_grid", (2, 2.5)), ("r_grid", (True,)),
+    ])
+    def test_non_integer_field_names_it(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{"dataset": DatasetSpec("sphere_surface", n=30),
+                                "r_grid": (2,), "rho_grid": (RHO,), field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("n", 30.5), ("r", 3.0), ("seed", "1"), ("n", False),
+    ])
+    def test_non_integer_dataset_field_names_it(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            DatasetSpec("sphere_surface", **{"n": 30, field: value})
+
+    @pytest.mark.parametrize("value", [2.5, 10.0, "10", True])
+    def test_non_integer_max_iters_names_it(self, value):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SolverConfig(max_iters=value)
+
+    def test_numpy_integers_pass(self):
+        i = np.int64
+        spec = DatasetSpec("sphere_surface", n=i(30), r=i(2), seed=i(1))
+        ExperimentConfig(dataset=spec, r_grid=(i(2), 3), rho_grid=(RHO,), trials=i(2),
+                         seed=i(0), workers=i(1), solver=SolverConfig(max_iters=i(5)))
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
