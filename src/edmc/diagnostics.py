@@ -17,11 +17,10 @@ import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from . import dualbasis as db, sampling
 from .geometry import FactoredGram
-from .sampling import PairSet, rng_from_seed, row_blocks
+from .sampling import PairSet, csr, rng_from_seed, row_blocks
 
 #: multiply the reported nu by this to get the normalization used by the
 #: concentration bounds (max ||P_U w_a||_F^2 <= nu_a * r / (2n))
@@ -214,7 +213,7 @@ def tangent_phi(x: FactoredGram, pairs: PairSet):
             np.multiply(ends, r, out=indices[:, col], casting="unsafe")
             indices[:, col] += nm + k
     indptr = np.arange(0, m * width + 1, width, dtype=index)
-    return csr_array((data.ravel(), indices.ravel(), indptr), shape=(m, nm + n * r))
+    return csr(data.ravel(), indices.ravel(), indptr, (m, nm + n * r))
 
 
 def _centring_basis(U):

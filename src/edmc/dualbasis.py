@@ -29,9 +29,8 @@ Operators (Omega the sampled pair set, m = |Omega|):
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_array
 
-from .sampling import PairSet
+from .sampling import PairSet, csr
 
 
 def v_norm_sq(n):
@@ -54,8 +53,7 @@ def pair_matrix(g, pairs: PairSet):
     ``np.bincount`` over the pairs, for every column at once.
     """
     indptr, indices = pairs.upper_pattern
-    return csr_array((np.asarray(g, dtype=float), indices, indptr),
-                     shape=(pairs.n, pairs.n))
+    return csr(np.asarray(g, dtype=float), indices, indptr, (pairs.n, pairs.n))
 
 
 def _row_sums(a):

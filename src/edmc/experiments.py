@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -59,9 +58,9 @@ class ExperimentConfig:
         if not self.r_grid:
             raise ValueError("empty rank grid")
         check_int_fields(self, "trials", "seed", "workers")
-        bad = [r for r in self.r_grid if not is_int(r)]
+        bad = [r for r in self.r_grid if not (is_int(r) and r >= 1)]
         if bad:
-            raise ValueError(f"r_grid holds {bad[0]!r}: a rank must be an integer")
+            raise ValueError(f"r_grid holds {bad[0]!r}: a rank must be an integer of at least 1")
         if bool(self.rho_grid) == bool(self.p_grid):
             raise ValueError("specify exactly one of rho_grid and p_grid")
         if self.trials < 1:
@@ -183,6 +182,7 @@ def run_grid(config: ExperimentConfig):
     """All cells, optionally in a process pool; deterministic cell order."""
     cells = config.cells()
     if config.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             futures = [
                 pool.submit(run_cell, config.dataset, cell, config.seed,

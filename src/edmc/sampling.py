@@ -15,7 +15,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .geometry import _centered_points, read_json
 
@@ -27,6 +26,17 @@ def rng_from_seed(seed):
 
 def pair_count(n):
     return n * (n - 1) // 2
+
+
+def csr(data, indices, indptr, shape):
+    """``scipy.sparse.csr_array((data, indices, indptr), shape=shape)``.
+
+    The package's one sparse constructor: scipy.sparse loads on the first
+    call of a process, so generating, sampling, observing and the
+    incoherence scan never pay its import.
+    """
+    from scipy.sparse import csr_array
+    return csr_array((data, indices, indptr), shape=shape)
 
 
 @dataclass(frozen=True)
@@ -76,7 +86,7 @@ class PairSet:
         indices[0::2], indices[1::2] = self.ii, self.jj
         data = np.tile(np.array([1, -1], dtype=np.int8), m)
         indptr = np.arange(0, 2 * m + 1, 2, dtype=np.int32)
-        return csr_array((data, indices, indptr), shape=(m, self.n))
+        return csr(data, indices, indptr, (m, self.n))
 
     @cached_property
     def upper_pattern(self):

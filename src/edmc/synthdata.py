@@ -39,6 +39,8 @@ class DatasetSpec:
         check_int_fields(self, "n", "r", "seed")
         if self.kind not in KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}; choose from {KINDS}")
+        if self.r < 1:
+            raise ValueError(f"r must be at least 1, got {self.r}")
         if self.kind != "file":
             if self.n < self.r + 1:
                 raise ValueError("need at least r + 1 points")

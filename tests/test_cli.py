@@ -231,6 +231,15 @@ class TestPipeline:
                         "--gradient-op", "debiased"]) == 2
         assert "--gradient-op" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rank", ["0", "-1"])
+    def test_generate_rank_below_one_exits_2(self, rank, tmp_path, capsys):
+        out = tmp_path / "points.csv"
+        assert run_cli(["generate", "--kind", "sphere_surface", "--n", "5", "--r", rank,
+                        "--out", str(out)]) == 2
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ValueError" and f"r must be at least 1, got {rank}" in err["error"]
+
     def test_console_script_installed(self):
         out = subprocess.run([sys.executable, "-m", "edmc.cli", "--help"],
                              capture_output=True, text=True)
@@ -563,6 +572,7 @@ class TestGridConfigKeys:
         ({"rho_grid": [], "p_grid": [0.0]}, "p_grid"),
         ({"gamma_grid": [float("nan")]}, "gamma_grid"),
         ({"gamma_grid": [400]}, "gamma_grid"),
+        ({"r_grid": [0]}, "r_grid"),
     ])
     def test_bad_grid_value_exits_2(self, tmp_path, capsys, patch, key):
         assert key in self._grid_error(tmp_path, capsys, {**GRID_CONFIG, **patch})

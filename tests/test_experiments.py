@@ -184,7 +184,7 @@ class TestConfigValues:
 
     @pytest.mark.parametrize("field,value", [
         ("trials", 2.5), ("workers", 1.5), ("seed", 1.5), ("seed", "3"), ("trials", True),
-        ("r_grid", (2, 2.5)), ("r_grid", (True,)),
+        ("r_grid", (2, 2.5)), ("r_grid", (True,)), ("r_grid", (0,)), ("r_grid", (2, -1)),
     ])
     def test_non_integer_field_names_it(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -197,6 +197,12 @@ class TestConfigValues:
     def test_non_integer_dataset_field_names_it(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             DatasetSpec("sphere_surface", **{"n": 30, field: value})
+
+    @pytest.mark.parametrize("kind", ["sphere_surface", "file"])
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_dataset_rank_below_one_names_it(self, kind, r):
+        with pytest.raises(ValueError, match=f"r must be at least 1, got {r}"):
+            DatasetSpec(kind, n=5, r=r, path="points.csv")
 
     @pytest.mark.parametrize("value", [2.5, 10.0, "10", True])
     def test_non_integer_max_iters_names_it(self, value):

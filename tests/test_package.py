@@ -5,6 +5,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import edmc
 
 
@@ -25,15 +27,17 @@ def test_all_names_are_public_and_unique():
 FOOTPRINT_SCRIPT = """
 import json, sys
 import edmc, edmc.cli
-from edmc import (DatasetSpec, Problem, bernoulli_sample, generate, incoherence,
-                  init_one_step, observe_points, rip_estimate, solve)
+from edmc import (DatasetSpec, ExperimentConfig, Problem, bernoulli_sample, generate,
+                  incoherence, init_one_step, observe_points, rip_estimate, run_grid, solve)
 from edmc.geometry import factored_gram_from_points
 
 LAZY = ("scipy.linalg", "scipy.sparse.linalg", "edmc.oracles")
+# loaded on the first sparse construction and by a process pool only
+DEFERRED = ("scipy", "scipy.sparse", "concurrent.futures.process")
 
 
-def loaded():
-    return [name in sys.modules for name in LAZY]
+def loaded(names=LAZY):
+    return [name in sys.modules for name in names]
 
 
 def instance(n, p):
@@ -42,26 +46,42 @@ def instance(n, p):
     return points, pairs, observe_points(points, pairs, p=p)
 
 
-steps = {"import": loaded()}
+steps, deferred = {"import": loaded()}, {"import": loaded(DEFERRED)}
 points, pairs, data = instance(300, 0.2)
 truth = factored_gram_from_points(points)
 incoherence(truth, cross_terms=True)
-rip_estimate(truth, pairs, 0.2, seed=2, max_iters=5)
+deferred["sample, observe, incoherence"] = loaded(DEFERRED)
 solve(Problem(data, rank=3), truth=truth)
+deferred["solve"] = loaded(DEFERRED)
+rip_estimate(truth, pairs, 0.2, seed=2, max_iters=5)
 steps["n=300"] = loaded()
 init_one_step(Problem(instance(600, 0.1)[2], rank=3))
 steps["n=600 init"] = loaded()
-print(json.dumps(steps))
+run_grid(ExperimentConfig(dataset=DatasetSpec("sphere_surface", n=30), r_grid=(2,),
+                          rho_grid=(5.0,), trials=1, workers=1))
+deferred["workers=1 grid"] = loaded(DEFERRED)
+print(json.dumps({"lazy": steps, "deferred": deferred}))
 """
 
 
-def test_no_call_loads_arpack_or_lapack():
+@pytest.fixture(scope="module")
+def footprint():
     # a fresh interpreter: this one has loaded whatever other tests imported
     src = str(Path(edmc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT], env=env,
                          capture_output=True, text=True, check=True)
-    steps = json.loads(out.stdout)
-    assert steps == {"import": [False] * 3, "n=300": [False] * 3,
-                     "n=600 init": [False] * 3}
+    return json.loads(out.stdout)
+
+
+def test_no_call_loads_arpack_or_lapack(footprint):
+    assert footprint["lazy"] == {"import": [False] * 3, "n=300": [False] * 3,
+                                 "n=600 init": [False] * 3}
+
+
+def test_only_sparse_work_loads_scipy(footprint):
+    assert footprint["deferred"] == {"import": [False] * 3,
+                                     "sample, observe, incoherence": [False] * 3,
+                                     "solve": [True, True, False],
+                                     "workers=1 grid": [True, True, False]}
