@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import incoherence
 from .experiments import (ExperimentConfig, GRID_CSV_COLUMNS, grid_rows, run_grid)
-from .geometry import (FactoredGram, center_points, factored_gram_from_points, is_int,
+from .geometry import (FactoredGram, center_points, factored_gram_from_points,
                        procrustes_error, read_json, read_points_csv, write_points_csv)
 from .sampling import SampledDistances, bernoulli_sample, observe_points
 from .solver import (CHANGE_TOL_MODES, Problem, SolverConfig, init_one_step,
@@ -167,36 +167,12 @@ def cmd_diagnose(args):
     return 0
 
 
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-#: what a grid config value must be, by the annotation of its field:
-#: (description, test of one JSON value)
-_VALUE_TYPES = {
-    "int": ("an integer", is_int),
-    "float": ("a number", _is_number),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
-    "DatasetSpec": ("a JSON object", lambda v: isinstance(v, dict)),
-    "SolverConfig": ("a JSON object", lambda v: isinstance(v, dict)),
-}
-
-#: the grids of ExperimentConfig: (description, test of one list entry)
-_GRID_TYPES = {
-    "r_grid": ("a list of integers", is_int),
-    "rho_grid": ("a list of numbers", _is_number),
-    "p_grid": ("a list of numbers", _is_number),
-    "gamma_grid": ("a list of numbers or nulls", lambda v: v is None or _is_number(v)),
-}
-
-
 def _config_section(cls, raw, section):
     """``raw`` checked key by key against the fields of ``cls``: every key
-    must name a field, every field without a default must be given, and
-    every value must have its field's type."""
+    must name a field and every field without a default must be given.
+    JSON lists become tuples; ``cls`` checks the values."""
     if not isinstance(raw, dict):
-        raise ValueError(f"{section} of a grid config must be a JSON object")
+        raise ValueError(f"{section} of the grid config must be a JSON object")
     fields = {f.name: f for f in dataclasses.fields(cls)}
     for key in raw:
         if key not in fields:
@@ -206,17 +182,15 @@ def _config_section(cls, raw, section):
         if (name not in raw and f.default is dataclasses.MISSING
                 and f.default_factory is dataclasses.MISSING):
             raise ValueError(f"{section} of the grid config needs {name!r}")
-    for key, value in raw.items():
-        if key in _GRID_TYPES:
-            expected, entry_ok = _GRID_TYPES[key]
-            ok = isinstance(value, list) and all(entry_ok(v) for v in value)
-        else:
-            expected, value_ok = _VALUE_TYPES[fields[key].type]
-            ok = value_ok(value)
-        if not ok:
-            raise ValueError(f"{key!r} in {section} of the grid config must be "
-                             f"{expected}, not {json.dumps(value)}")
     return {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
+
+
+def _build(cls, values, section):
+    """``cls(**values)``, its ``ValueError`` prefixed with the config section."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{section} of the grid config: {exc}") from exc
 
 
 def _experiment_config_from_json(path, overrides):
@@ -228,14 +202,16 @@ def _experiment_config_from_json(path, overrides):
     if isinstance(raw, dict):
         raw.update({k: v for k, v in overrides.items() if v is not None})
     top = _config_section(ExperimentConfig, raw, "the top level")
+    dataset = _config_section(DatasetSpec, top["dataset"], "dataset")
     for key in ("seed", "r"):
-        if key in top["dataset"]:
+        if key in dataset:
             raise ValueError(f"{key!r} in dataset of the grid config is never read: each "
                              f"trial draws its cloud with its own seed in the cell's rank")
-    top["dataset"] = DatasetSpec(**_config_section(DatasetSpec, top["dataset"], "dataset"))
+    top["dataset"] = _build(DatasetSpec, dataset, "dataset")
     if "solver" in top:
-        top["solver"] = SolverConfig(**_config_section(SolverConfig, top["solver"], "solver"))
-    return ExperimentConfig(**top), raw
+        top["solver"] = _build(SolverConfig, _config_section(SolverConfig, top["solver"],
+                                                             "solver"), "solver")
+    return _build(ExperimentConfig, top, "the top level"), raw
 
 
 def write_grid_csv(path, rows, meta):

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import center_points, check_int_fields, factored_gram_from_points, is_int
+from .geometry import (center_points, check_fields, factored_gram_from_points, is_int,
+                       is_number)
 from .sampling import (bernoulli_sample, observe_points, oversampling_ratio,
                        perturb_points, probability_for_ratio)
 from .solver import Problem, SolveResult, SolverConfig, solve
@@ -32,6 +33,11 @@ class GridCell:
     p: float
     rho: float
     gamma: float | None = None   # noise exponent; bound = 10**gamma
+
+
+def _tuple_of(test):
+    """A test passing a tuple whose every entry passes ``test``."""
+    return lambda v: isinstance(v, tuple) and all(test(entry) for entry in v)
 
 
 @dataclass(frozen=True)
@@ -55,12 +61,18 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        check_fields(self, lambda v: isinstance(v, DatasetSpec), "a DatasetSpec", "dataset")
+        check_fields(self, lambda v: isinstance(v, SolverConfig), "a SolverConfig", "solver")
+        check_fields(self, is_int, "an integer", "trials", "seed", "workers")
+        check_fields(self, _tuple_of(is_int), "a tuple of integers", "r_grid")
+        check_fields(self, _tuple_of(is_number), "a tuple of numbers", "rho_grid", "p_grid")
+        check_fields(self, _tuple_of(lambda v: v is None or is_number(v)),
+                     "a tuple of numbers or Nones", "gamma_grid")
         if not self.r_grid:
             raise ValueError("empty rank grid")
-        check_int_fields(self, "trials", "seed", "workers")
-        bad = [r for r in self.r_grid if not (is_int(r) and r >= 1)]
+        bad = [r for r in self.r_grid if r < 1]
         if bad:
-            raise ValueError(f"r_grid holds {bad[0]!r}: a rank must be an integer of at least 1")
+            raise ValueError(f"r_grid holds {bad[0]!r}: a rank must be at least 1")
         if bool(self.rho_grid) == bool(self.p_grid):
             raise ValueError("specify exactly one of rho_grid and p_grid")
         if self.trials < 1:

@@ -28,6 +28,9 @@ import numpy as np
 #: eigenvalues below ``-NEG_TOL`` times the largest magnitude are not
 #: roundoff: ``oracles.classical_mds`` raises and ``solver.recover_points`` warns
 NEG_TOL = 1e-8
+#: a kept eigenvalue at most ``RANK_TOL`` times the largest magnitude makes
+#: :func:`select_rank`'s result rank deficient
+RANK_TOL = 1e-13
 #: :meth:`FactoredGram.validate`'s bounds on ``|U^T U - I|`` and ``|U^T 1| / sqrt(n)``
 ORTH_TOL, CENTERED_TOL = 1e-10, 1e-8
 
@@ -52,13 +55,18 @@ def is_int(v):
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def check_int_fields(obj, *names):
+def is_number(v):
+    """A real number, integers included, not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def check_fields(obj, test, expected, *names):
     """Raise a ``ValueError`` naming the first field of ``obj`` among
-    ``names`` that does not hold an integer."""
+    ``names`` whose value fails ``test``; ``expected`` says what passes."""
     for name in names:
         value = getattr(obj, name)
-        if not is_int(value):
-            raise ValueError(f"{name} must be an integer, not {value!r}")
+        if not test(value):
+            raise ValueError(f"{name} must be {expected}, not {value!r}")
 
 
 def magnitude_order(eigvals):
@@ -195,7 +203,7 @@ def select_rank(eigvals, eigvecs, r):
         rest = np.delete(np.abs(eigvals), order)
         if rest.size and np.abs(np.abs(lam[-1]) - rest.max()) <= 1e-12 * scale:
             tie = True
-    deficient = bool(r > 0 and (scale == 0.0 or np.abs(lam[-1]) <= 1e-13 * scale))
+    deficient = bool(r > 0 and (scale == 0.0 or np.abs(lam[-1]) <= RANK_TOL * scale))
     return FactoredGram(vecs, lam, boundary_tie=tie, rank_deficient=deficient)
 
 

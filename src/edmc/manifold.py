@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dualbasis as db
-from .geometry import FactoredGram, select_rank
+from .geometry import RANK_TOL, FactoredGram, select_rank
 from .sampling import PairSet
 
 
@@ -88,12 +88,9 @@ def retract_structured(t: TangentVector, step) -> FactoredGram:
     core[r:, :r] = step * r2
     eigvals, eigvecs = np.linalg.eigh(core)
     kept = select_rank(eigvals, eigvecs, r)
-    lam = kept.eigs
-    scale = np.abs(eigvals).max()
-    if scale == 0.0 or np.abs(lam[-1]) <= 1e-14 * scale:
-        raise RankCollapseError(
-            f"retraction core kept only {int(np.sum(np.abs(lam) > 1e-14 * scale))} "
-            f"of {r} eigenvalues; the iterate degenerated"
-        )
+    if kept.rank_deficient:
+        usable = np.abs(kept.eigs) > RANK_TOL * np.abs(eigvals).max()
+        raise RankCollapseError(f"retraction core kept only {int(np.sum(usable))} "
+                                f"of {r} eigenvalues; the iterate degenerated")
     vecs = np.hstack([U, q2]) @ kept.U
-    return FactoredGram(vecs, lam, boundary_tie=kept.boundary_tie)
+    return FactoredGram(vecs, kept.eigs, boundary_tie=kept.boundary_tie)

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import dualbasis as db
-from .geometry import (NEG_TOL, FactoredGram, check_int_fields, gram_frobenius_error,
-                       magnitude_order, truncated_gram)
+from .geometry import (NEG_TOL, FactoredGram, check_fields, gram_frobenius_error, is_int,
+                       is_number, magnitude_order, truncated_gram)
 from .manifold import TangentVector, project_w_expansion, retract_structured
 from .sampling import PairSet, SampledDistances
 
@@ -100,7 +100,9 @@ class SolverConfig:
     change_tol_mode: str = "relative"
 
     def __post_init__(self):
-        check_int_fields(self, "max_iters")
+        check_fields(self, is_int, "an integer", "max_iters")
+        check_fields(self, is_number, "a number", "change_tol")
+        check_fields(self, lambda v: isinstance(v, str), "a string", "change_tol_mode")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not (np.isfinite(self.change_tol) and self.change_tol > 0):

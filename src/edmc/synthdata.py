@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import center_points, check_int_fields, read_points_csv
+from .geometry import center_points, check_fields, is_int, read_points_csv
 from .sampling import rng_from_seed
 
 KINDS = ("sphere_surface", "swiss_roll", "unit_ball_uniform", "file")
@@ -36,7 +36,10 @@ class DatasetSpec:
     path: str | None = None
 
     def __post_init__(self):
-        check_int_fields(self, "n", "r", "seed")
+        check_fields(self, lambda v: isinstance(v, str), "a string", "kind")
+        check_fields(self, is_int, "an integer", "n", "r", "seed")
+        check_fields(self, lambda v: v is None or isinstance(v, str), "a string or None",
+                     "path")
         if self.kind not in KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}; choose from {KINDS}")
         if self.r < 1:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -158,6 +159,40 @@ class TestFileDatasets:
         with pytest.raises(ValueError, match="needs n"):
             ExperimentConfig(dataset=DatasetSpec("file", path=dataset.path),
                              r_grid=(2,), rho_grid=(RHO,))
+
+
+#: one wrong-typed value for every field of the three config classes
+WRONG_TYPES = [
+    (DatasetSpec, "kind", 3), (DatasetSpec, "n", "30"), (DatasetSpec, "r", 3.0),
+    (DatasetSpec, "seed", True), (DatasetSpec, "path", 3),
+    (SolverConfig, "max_iters", 10.0), (SolverConfig, "change_tol", "1e-5"),
+    (SolverConfig, "change_tol", True), (SolverConfig, "change_tol_mode", None),
+    (ExperimentConfig, "dataset", {"kind": "sphere_surface", "n": 30}),
+    (ExperimentConfig, "r_grid", [2]), (ExperimentConfig, "rho_grid", ("a",)),
+    (ExperimentConfig, "rho_grid", 5.0), (ExperimentConfig, "p_grid", (0.5, "1")),
+    (ExperimentConfig, "gamma_grid", ("-3",)), (ExperimentConfig, "trials", 2.5),
+    (ExperimentConfig, "seed", "0"), (ExperimentConfig, "solver", None),
+    (ExperimentConfig, "workers", True),
+]
+
+#: valid arguments that each case in WRONG_TYPES overrides one of
+VALID_ARGS = {
+    DatasetSpec: {"kind": "sphere_surface", "n": 30},
+    SolverConfig: {},
+    ExperimentConfig: {"dataset": DatasetSpec("sphere_surface", n=30), "r_grid": (2,),
+                       "rho_grid": (RHO,)},
+}
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("cls,field,value", WRONG_TYPES)
+    def test_wrong_type_names_the_field(self, cls, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            cls(**{**VALID_ARGS[cls], field: value})
+
+    def test_every_field_has_a_case(self):
+        fields = {(cls, f.name) for cls in VALID_ARGS for f in dataclasses.fields(cls)}
+        assert {(cls, field) for cls, field, _ in WRONG_TYPES} == fields
 
 
 class TestConfigValues:

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edmc.geometry import truncated_gram
+from edmc.geometry import FactoredGram, truncated_gram
 from edmc.manifold import (RankCollapseError, TangentVector, project_w_expansion,
                            retract_structured)
 from edmc.oracles import project_tangent, w_coeffs
 from edmc.sampling import bernoulli_sample
 
-from conftest import expand, random_centered_symmetric, random_factored_gram
+from conftest import (centered_orthonormal, expand, random_centered_symmetric,
+                      random_factored_gram)
 
 
 def dense_projection(u, y):
@@ -124,6 +125,15 @@ class TestRetractStructured:
         t = TangentVector(fg, -np.diag(fg.eigs), np.zeros((6, 2)))
         with pytest.raises(RankCollapseError):
             retract_structured(t, 1.0)
+
+    def test_rank_deficient_core_raises(self):
+        # the third eigenvalue, 5e-14 of the largest, is under geometry.RANK_TOL
+        q = centered_orthonormal(8, 4, seed=12)
+        fg = FactoredGram(q[:, :3], np.array([1.0, 1.0, 5e-14]))
+        zu = np.zeros((8, 3))
+        zu[:, 0] = 1e-20 * q[:, 3]
+        with pytest.raises(RankCollapseError, match="kept only 2 of 3"):
+            retract_structured(TangentVector(fg, np.zeros((3, 3)), zu), 1.0)
 
 
 class TestTangentVector:

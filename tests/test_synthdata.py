@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,17 @@ class TestFileKind:
     def test_path_required(self):
         with pytest.raises(ValueError, match="path"):
             DatasetSpec("file")
+
+    def test_integer_path_rejected_and_descriptor_kept(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        write_points_csv(path, generate(DatasetSpec("sphere_surface", n=4, r=3, seed=0)))
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            with pytest.raises(ValueError, match="path must be a string or None"):
+                DatasetSpec(kind="file", n=4, path=fd)
+            os.fstat(fd)
+        finally:
+            os.close(fd)
 
 
 class TestSpecValidation:
