@@ -10,7 +10,6 @@ object on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -23,7 +22,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import incoherence
 from .experiments import (ExperimentConfig, GRID_CSV_COLUMNS, grid_rows, run_grid)
-from .geometry import (FactoredGram, center_points, factored_gram_from_points,
+from .geometry import (FactoredGram, _write_csv, center_points, factored_gram_from_points,
                        procrustes_error, read_json, read_points_csv, write_points_csv)
 from .sampling import SampledDistances, bernoulli_sample, observe_points
 from .solver import (CHANGE_TOL_MODES, Problem, SolverConfig, init_one_step,
@@ -214,21 +213,12 @@ def _experiment_config_from_json(path, overrides):
     return _build(ExperimentConfig, top, "the top level"), raw
 
 
-def write_grid_csv(path, rows, meta):
-    with open(path, "w", newline="") as fh:
-        fh.write("# meta: " + json.dumps(meta, sort_keys=True) + "\n")
-        writer = csv.DictWriter(fh, fieldnames=GRID_CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
 def cmd_grid(args):
     overrides = {"trials": args.trials, "seed": args.seed, "workers": args.workers}
     config, raw = _experiment_config_from_json(args.config, overrides)
-    results = run_grid(config)
-    rows = grid_rows(results, config.threshold())
-    write_grid_csv(args.out, rows, output_meta(raw, config.seed))
+    rows = grid_rows(run_grid(config), config.threshold())
+    _write_csv(args.out, ([row[c] for c in GRID_CSV_COLUMNS] for row in rows),
+               output_meta(raw, config.seed), header=GRID_CSV_COLUMNS)
     return 0
 
 
@@ -252,7 +242,8 @@ def build_parser():
     p.add_argument("--points", required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="CSV path; JSON sidecar sits next to it")
+    p.add_argument("--out", required=True,
+                   help="CSV path; its '# meta:' first line holds n, p and seed")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("init", help="one-step hard-thresholding initialization")

@@ -231,7 +231,7 @@ def procrustes_error(a, b):
 
 
 # ---------------------------------------------------------------------------
-# files: point-cloud CSV (one row per point, header, '#' comments) and JSON
+# files: CSV (an optional `# meta:` first line and header, then rows) and JSON
 
 
 def read_json(path):
@@ -242,14 +242,19 @@ def read_json(path):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def write_points_csv(path, points, meta=None):
-    points = np.asarray(points, dtype=float)
+def _write_csv(path, rows, meta=None, header=None):
+    """The one CSV writer: ``# meta: <json>`` and ``header`` if given, then ``rows``."""
     with open(path, "w", newline="") as fh:
         if meta is not None:
             fh.write("# meta: " + json.dumps(meta, sort_keys=True) + "\n")
         writer = csv.writer(fh)
-        for row in points:
-            writer.writerow([repr(float(v)) for v in row])
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_points_csv(path, points, meta=None):
+    _write_csv(path, np.asarray(points, dtype=float).tolist(), meta)
 
 
 def read_points_csv(path):

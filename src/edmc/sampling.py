@@ -12,11 +12,10 @@ import csv
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .geometry import _centered_points, read_json
+from .geometry import _centered_points, _write_csv, check_fields, is_int, is_number
 
 
 def rng_from_seed(seed):
@@ -155,6 +154,9 @@ class SampledDistances:
     seed: int | None = None
 
     def __post_init__(self):
+        check_fields(self, lambda v: v is None or (is_number(v) and 0.0 <= v <= 1.0),
+                     "None or a number in [0, 1]", "p")
+        check_fields(self, lambda v: v is None or is_int(v), "None or an integer", "seed")
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         if values.shape != self.pairs.ii.shape:
@@ -178,28 +180,28 @@ class SampledDistances:
         return self.m / pair_count(self.n)
 
     def save(self, path, meta=None):
-        """Write (i, j, d) CSV (1-based indices) plus a JSON sidecar
-        ``{n, p, seed, _meta}``, whose ``_meta`` is ``meta`` when given."""
-        path = Path(path)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i", "j", "d"])
-            for i, j, d in zip(self.pairs.ii, self.pairs.jj, self.values):
-                writer.writerow([int(i) + 1, int(j) + 1, repr(float(d))])
-        sidecar = {"n": int(self.n), "p": self.p, "seed": self.seed}
+        """Write ``# meta: {n, p, seed, _meta}``, header ``i,j,d`` and 1-based rows."""
+        head = {"n": int(self.n), "p": self.p, "seed": self.seed}
         if meta is not None:
-            sidecar["_meta"] = meta
-        path.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True))
+            head["_meta"] = meta
+        rows = zip(self.pairs.ii + 1, self.pairs.jj + 1, map(repr, map(float, self.values)))
+        _write_csv(path, rows, head, header=["i", "j", "d"])
 
     @classmethod
     def load(cls, path):
-        path = Path(path)
-        sidecar = read_json(path.with_suffix(".json"))
-        if not isinstance(sidecar, dict) or sidecar.get("n") is None:
-            raise ValueError(f"{path.with_suffix('.json')}: the sidecar has no point count n")
+        """Read a file of :meth:`save`; a fault is a ``ValueError`` naming ``path``."""
         ii, jj, vals = [], [], []
         with open(path, newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
+            first = fh.readline()
+            text = first.removeprefix("# meta:")
+            try:
+                head = json.loads(text) if text != first else {}
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:1: {exc}") from exc
+            n = head.get("n") if isinstance(head, dict) else None
+            if not is_int(n):
+                raise ValueError(f"{path}: '# meta:' line 1 needs an integer n, not {n!r}")
+            for lineno, row in enumerate(csv.reader(fh), start=2):
                 if not row or row[0].lstrip().startswith("#") or row[0] == "i":
                     continue
                 try:
@@ -211,8 +213,8 @@ class SampledDistances:
                 jj.append(j)
                 vals.append(d)
         try:
-            pairs = PairSet(int(sidecar["n"]), np.asarray(ii), np.asarray(jj))
-            return cls(pairs, np.asarray(vals), p=sidecar.get("p"), seed=sidecar.get("seed"))
+            pairs = PairSet(n, np.asarray(ii), np.asarray(jj))
+            return cls(pairs, np.asarray(vals), p=head.get("p"), seed=head.get("seed"))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 

@@ -69,6 +69,7 @@ class Problem:
     rank: int
 
     def __post_init__(self):
+        check_fields(self, is_int, "an integer", "rank")
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
         if not 0.0 < self.p <= 1.0:

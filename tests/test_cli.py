@@ -11,7 +11,7 @@ import pytest
 from edmc import cli, geometry
 from edmc.cli import _experiment_config_from_json, _solver_config, build_parser, main
 from edmc.diagnostics import incoherence
-from edmc.geometry import (gram_from_points, read_points_csv, truncated_gram,
+from edmc.geometry import (center_points, gram_from_points, read_points_csv, truncated_gram,
                            write_points_csv)
 from edmc.sampling import SampledDistances, bernoulli_sample, observe
 from edmc.solver import SolverConfig
@@ -112,30 +112,55 @@ class TestPipeline:
         points = points - points.mean(axis=0)
         ref = pipeline_dir / "ref.csv"
         observe(gram_from_points(points), bernoulli_sample(60, 0.6, 5), p=0.6, seed=5).save(ref)
-        assert (pipeline_dir / "dist.csv").read_bytes() == ref.read_bytes()
-        # the sidecar adds only the provenance block
-        sidecar = json.loads((pipeline_dir / "dist.json").read_text())
-        assert sidecar.pop("_meta")["seed"] == 5
-        assert sidecar == json.loads(ref.with_suffix(".json").read_text())
+        first, rows = (pipeline_dir / "dist.csv").read_bytes().split(b"\n", 1)
+        ref_first, ref_rows = ref.read_bytes().split(b"\n", 1)
+        assert rows == ref_rows
+        # the meta line adds only the provenance block
+        meta = json.loads(first.removeprefix(b"# meta: "))
+        assert meta.pop("_meta")["seed"] == 5
+        assert meta == json.loads(ref_first.removeprefix(b"# meta: "))
 
-    def test_sample_sidecar_meta_records_the_machine(self, pipeline_dir):
-        meta = json.loads((pipeline_dir / "dist.json").read_text())["_meta"]
+    def test_sample_writes_one_file(self, pipeline_dir):
+        assert not (pipeline_dir / "dist.json").exists()
+
+    def test_sample_meta_records_the_machine(self, pipeline_dir):
+        first = (pipeline_dir / "dist.csv").read_text().splitlines()[0]
+        meta = json.loads(first.removeprefix("# meta: "))["_meta"]
         assert meta["version"] and meta["config_hash"] and meta["nproc"] >= 1
         assert set(cli.THREAD_VARS) <= set(meta)
         data = SampledDistances.load(pipeline_dir / "dist.csv")
         assert data.n == 60 and data.p == 0.6 and data.seed == 5
 
-    def test_sidecar_without_n_names_the_sidecar(self, pipeline_dir, capsys):
-        sidecar = pipeline_dir / "dist.json"
-        payload = json.loads(sidecar.read_text())
+    def test_init_out_beside_the_sample_leaves_it(self, pipeline_dir):
+        data = pipeline_dir / "dist.csv"
+        assert run_cli(["init", "--data", str(data), "--r", "3",
+                        "--out", str(pipeline_dir / "dist.json")]) == 0
+        back = SampledDistances.load(data)
+        assert (back.n, back.p, back.seed) == (60, 0.6, 5)
+
+    def test_meta_line_without_n_names_the_sample(self, pipeline_dir, capsys):
+        data = pipeline_dir / "dist.csv"
+        first, rest = data.read_text().split("\n", 1)
+        payload = json.loads(first.removeprefix("# meta: "))
         del payload["n"]
-        sidecar.write_text(json.dumps(payload))
-        code = run_cli(["init", "--data", str(pipeline_dir / "dist.csv"), "--r", "3",
+        data.write_text(f"# meta: {json.dumps(payload)}\n{rest}")
+        code = run_cli(["init", "--data", str(data), "--r", "3",
                         "--out", str(pipeline_dir / "init.json")])
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["type"] == "ValueError"
-        assert str(sidecar) in err["error"] and "point count n" in err["error"]
+        assert err["error"].startswith(f"{data}: ") and "integer n" in err["error"]
+
+    def test_generate_from_a_file_writes_the_centred_cloud(self, tmp_path):
+        source = tmp_path / "cloud.csv"
+        cloud = generate(DatasetSpec("unit_ball_uniform", n=30, r=3, seed=2)) + [1.0, -2.0, 0.5]
+        write_points_csv(source, cloud)
+        out = tmp_path / "out.csv"
+        assert run_cli(["generate", "--kind", "file", "--points-file", str(source),
+                        "--out", str(out)]) == 0
+        assert out.read_text().startswith("# meta: ")
+        expected = center_points(read_points_csv(source))
+        assert np.array_equal(read_points_csv(out), expected)
 
     def test_meta_records_thread_variables_outside_the_hash(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -430,9 +455,13 @@ class TestDiagnoseGram:
 
 @pytest.mark.parametrize("command", ["diagnose", "init", "grid"])
 def test_unparsable_json_names_the_file(command, pipeline_dir, capsys):
-    # a factor file, a sample's sidecar and a grid config
-    bad = pipeline_dir / ("dist.json" if command == "init" else "bad.json")
-    bad.write_text("{bad")
+    # a factor file, a sample's meta line (its line 1) and a grid config
+    bad = pipeline_dir / ("dist.csv" if command == "init" else "bad.json")
+    if command == "init":
+        bad.write_text("# meta: {bad\n" + bad.read_text().split("\n", 1)[1])
+    else:
+        bad.write_text("{bad")
+    where = f"{bad}:1" if command == "init" else str(bad)
     out = str(pipeline_dir / "out")
     args = {"diagnose": ["diagnose", "--gram", str(bad), "--out", out],
             "init": ["init", "--data", str(pipeline_dir / "dist.csv"), "--r", "3",
@@ -442,7 +471,7 @@ def test_unparsable_json_names_the_file(command, pipeline_dir, capsys):
     assert run_cli(args) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["type"] == "ValueError"
-    assert err["error"].startswith(f"{bad}: Expecting property name")
+    assert err["error"].startswith(f"{where}: Expecting property name")
 
 
 GRID_CONFIG = {

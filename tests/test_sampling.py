@@ -326,37 +326,79 @@ class TestSampledDistancesIO:
         assert np.array_equal(back.pairs.ii, pairs.ii)
         assert np.array_equal(back.values, data.values)
 
+    def test_saved_to_a_json_path_round_trips(self, tmp_path):
+        data = observe(random_centered_gram(8, 2, seed=5), bernoulli_sample(8, 0.6, seed=11),
+                       p=0.6, seed=11)
+        data.save(tmp_path / "d.json")
+        back = SampledDistances.load(tmp_path / "d.json")
+        assert (back.n, back.p, back.seed) == (8, 0.6, 11)
+        assert np.array_equal(back.pairs.ii, data.pairs.ii)
+        assert np.array_equal(back.pairs.jj, data.pairs.jj)
+        assert np.array_equal(back.values, data.values)
+        assert [p.name for p in tmp_path.iterdir()] == ["d.json"]
+
+    def test_a_json_file_beside_the_sample_is_not_read(self, tmp_path):
+        observe(TWO_POINT_GRAM, PairSet.from_pairs(2, [(0, 1)]), p=1.0, seed=3).save(
+            tmp_path / "d.csv")
+        (tmp_path / "d.json").write_text(json.dumps({"n": 2, "p": 0.5, "seed": 9}))
+        back = SampledDistances.load(tmp_path / "d.csv")
+        assert (back.p, back.seed) == (1.0, 3)
+
     def test_csv_is_one_based(self, tmp_path):
         data = observe(TWO_POINT_GRAM, PairSet.from_pairs(2, [(0, 1)]), p=1.0)
         path = tmp_path / "d.csv"
         data.save(path)
         rows = path.read_text().strip().splitlines()
-        assert rows[0] == "i,j,d"
-        assert rows[1].startswith("1,2,")
-        sidecar = json.loads((tmp_path / "d.json").read_text())
-        assert sidecar["n"] == 2
+        assert json.loads(rows[0].removeprefix("# meta: "))["n"] == 2
+        assert rows[1] == "i,j,d"
+        assert rows[2].startswith("1,2,")
 
-    def test_meta_is_the_sidecars_meta(self, tmp_path):
+    def test_meta_line_holds_n_p_seed_and_meta(self, tmp_path):
         data = observe(TWO_POINT_GRAM, PairSet.from_pairs(2, [(0, 1)]), p=1.0, seed=3)
         data.save(tmp_path / "d.csv", meta={"seed": 3})
-        sidecar = json.loads((tmp_path / "d.json").read_text())
-        assert sidecar == {"n": 2, "p": 1.0, "seed": 3, "_meta": {"seed": 3}}
+        first = (tmp_path / "d.csv").read_text().splitlines()[0]
+        assert first.startswith("# meta: ")
+        assert json.loads(first.removeprefix("# meta: ")) == {
+            "n": 2, "p": 1.0, "seed": 3, "_meta": {"seed": 3}}
         assert SampledDistances.load(tmp_path / "d.csv").seed == 3
 
-    @pytest.mark.parametrize("sidecar", [{"p": None, "seed": None}, {"n": None}, [3]])
-    def test_sidecar_without_n_names_the_sidecar(self, tmp_path, sidecar):
+    @pytest.mark.parametrize("first", [
+        '# meta: {"p": null, "seed": null}', '# meta: {"n": null}', "# meta: [3]",
+        '# meta: {"n": 200.7}', '# meta: {"n": "3"}', "i,j,d", "# n=3", ""],
+        ids=["no-n", "null-n", "list", "float-n", "string-n", "header", "comment", "empty"])
+    def test_meta_line_without_integer_n_names_the_file(self, tmp_path, first):
         path = tmp_path / "d.csv"
-        path.write_text("i,j,d\n1,2,4.0\n")
-        path.with_suffix(".json").write_text(json.dumps(sidecar))
-        with pytest.raises(ValueError, match=re.escape(f"{path.with_suffix('.json')}: ")):
+        path.write_text(f"{first}\ni,j,d\n1,2,4.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: '# meta:' line 1 needs "
+                                                       f"an integer n")):
+            SampledDistances.load(path)
+
+    @pytest.mark.parametrize("first", ["# meta: {bad", "# meta: ", '# meta: {"n": 3'],
+                             ids=["bad", "empty", "cut"])
+    def test_unparsable_meta_line_names_path_and_line_1(self, tmp_path, first):
+        path = tmp_path / "d.csv"
+        path.write_text(f"{first}\ni,j,d\n1,2,4.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: ")):
+            SampledDistances.load(path)
+
+    @pytest.mark.parametrize("meta,message", [
+        ({"p": 7.0}, "p must be None or a number in [0, 1], not 7.0"),
+        ({"p": "abc"}, "p must be None or a number in [0, 1], not 'abc'"),
+        ({"seed": "one"}, "seed must be None or an integer, not 'one'"),
+        ({"seed": 1.5}, "seed must be None or an integer, not 1.5"),
+    ])
+    def test_bad_p_or_seed_in_the_meta_line_names_file_and_field(self, tmp_path, meta,
+                                                                 message):
+        path = tmp_path / "d.csv"
+        path.write_text(f"# meta: {json.dumps({'n': 3, **meta})}\ni,j,d\n1,2,4.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             SampledDistances.load(path)
 
     @pytest.mark.parametrize("row", ["3,4", "1,3,abc", "x,3,1.0", "1.5,3,1.0"])
     def test_malformed_row_names_path_and_line(self, tmp_path, row):
         path = tmp_path / "d.csv"
-        path.write_text(f"i,j,d\n1,2,4.0\n{row}\n2,3,1.0\n")
-        path.with_suffix(".json").write_text(json.dumps({"n": 3, "p": None, "seed": None}))
-        with pytest.raises(ValueError, match=re.escape(f"{path}:3:")) as info:
+        path.write_text(f'# meta: {{"n": 3}}\ni,j,d\n1,2,4.0\n{row}\n2,3,1.0\n')
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4:")) as info:
             SampledDistances.load(path)
         assert repr(row) in str(info.value)
 
@@ -370,11 +412,35 @@ class TestSampledDistancesIO:
     ])
     def test_structural_fault_names_the_file(self, tmp_path, rows, message):
         path = tmp_path / "d.csv"
-        path.write_text(f"i,j,d\n{rows}\n")
-        path.with_suffix(".json").write_text(json.dumps({"n": 3, "p": None, "seed": None}))
+        path.write_text(f'# meta: {{"n": 3, "p": null, "seed": null}}\ni,j,d\n{rows}\n')
         with pytest.raises(ValueError, match=re.escape(f"{path}: ")) as info:
             SampledDistances.load(path)
         assert message in str(info.value)
+
+    @pytest.mark.parametrize("field,value,expected", [
+        ("p", 7.0, "None or a number in [0, 1]"),
+        ("p", -0.1, "None or a number in [0, 1]"),
+        ("p", float("nan"), "None or a number in [0, 1]"),
+        ("p", "abc", "None or a number in [0, 1]"),
+        ("p", True, "None or a number in [0, 1]"),
+        ("seed", "one", "None or an integer"),
+        ("seed", 1.0, "None or an integer"),
+        ("seed", True, "None or an integer"),
+    ])
+    def test_bad_p_or_seed_names_the_field(self, field, value, expected):
+        pairs = PairSet.from_pairs(2, [(0, 1)])
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be {expected}, "
+                                                       f"not {value!r}")):
+            SampledDistances(pairs, np.array([4.0]), **{field: value})
+
+    @pytest.mark.parametrize("p,seed", [(1, np.int64(4)), (np.float64(0.3), None)])
+    def test_p_in_the_unit_interval_and_integer_seeds_accepted(self, p, seed):
+        data = SampledDistances(PairSet.from_pairs(2, [(0, 1)]), np.array([4.0]), p=p, seed=seed)
+        assert (data.p, data.seed) == (p, seed)
+
+    def test_p_zero_sample_builds(self):
+        data = observe(TWO_POINT_GRAM, bernoulli_sample(2, 0.0, seed=1), p=0.0, seed=1)
+        assert data.m == 0 and data.p == 0.0
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):

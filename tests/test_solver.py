@@ -41,6 +41,16 @@ class TestProblem:
         with pytest.raises(ValueError):
             Problem(prob.data, rank=0)
 
+    @pytest.mark.parametrize("rank", [2.5, True, "3", None])
+    def test_non_integer_rank_names_rank(self, rank):
+        prob, _, _ = make_problem(10, 2, 1.0, seed=0)
+        with pytest.raises(ValueError, match=f"rank must be an integer, not {rank!r}"):
+            Problem(prob.data, rank=rank)
+
+    def test_numpy_integer_rank_accepted(self):
+        prob, _, _ = make_problem(10, 2, 1.0, seed=0)
+        assert Problem(prob.data, rank=np.int64(2)).rank == 2
+
 
 class TestSolverConfig:
     @pytest.mark.parametrize("tol", [0.0, -1e-5, float("nan"), float("inf")])
