@@ -1,7 +1,7 @@
 """Point clouds and their centered Gram matrices, dense and factored:
-centring, rank-r truncation, Procrustes alignment and the package's file
-readers.  The dense conversions to and from squared distance matrices and
-classical multidimensional scaling are in :mod:`edmc.oracles`.
+centring, rank-r truncation, Procrustes alignment and the package's one CSV
+reader and writer.  The dense conversions to and from squared distance
+matrices and classical multidimensional scaling are in :mod:`edmc.oracles`.
 
 Conventions used throughout the package:
 
@@ -253,34 +253,59 @@ def _write_csv(path, rows, meta=None, header=None):
         writer.writerows(rows)
 
 
+def _read_csv(path, parse):
+    """The one CSV reader: ``(head, rows)``.  ``head`` is the JSON object of a
+    ``# meta:`` first line, ``{}`` without one; ``rows`` lazily yields
+    ``(lineno, parse(fields))`` for each row that is not blank or ``#``, so a
+    caller can refuse a file by its head before any row is parsed.  A first
+    row that ``parse`` rejects is the header; a later one fails ``path:line:``."""
+    with open(path, newline="") as fh:
+        first = fh.readline()
+    head = {}
+    if first.startswith("# meta:"):
+        try:
+            head = json.loads(first.removeprefix("# meta:"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:1: {exc}") from exc
+    head = head if isinstance(head, dict) else {}
+
+    def rows():
+        seen = False
+        with open(path, newline="") as fh:
+            for lineno, fields in enumerate(csv.reader(fh), start=1):
+                if not fields or fields[0].lstrip().startswith("#"):
+                    continue
+                try:
+                    row = parse(fields)
+                except ValueError as exc:
+                    if seen:
+                        raise ValueError(f"{path}:{lineno}: {exc}") from None
+                else:
+                    yield lineno, row
+                seen = True
+    return head, rows()
+
+
 def write_points_csv(path, points, meta=None):
     _write_csv(path, np.asarray(points, dtype=float).tolist(), meta)
 
 
 def read_points_csv(path):
-    """Read a point cloud CSV; rejects ragged rows and non-finite values,
-    skips comments/header."""
-    rows = []
-    width = None
-    with open(path, newline="") as fh:
-        for lineno, raw in enumerate(csv.reader(fh), start=1):
-            if not raw or (raw[0].lstrip().startswith("#")):
-                continue
-            try:
-                row = [float(v) for v in raw]
-            except ValueError:
-                if rows:
-                    raise ValueError(f"{path}:{lineno}: non-numeric row after data")
-                continue  # header line
-            if not all(map(math.isfinite, row)):
-                raise ValueError(f"{path}:{lineno}: non-finite value in {','.join(raw)!r}")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError(
-                    f"{path}:{lineno}: ragged row of width {len(row)}, expected {width}"
-                )
-            rows.append(row)
-    if not rows:
+    """Read a point cloud CSV; rejects a sample of distances (its ``# meta:``
+    line holds ``n``), ragged rows and non-finite values."""
+    head, rows = _read_csv(path, lambda fields: [float(v) for v in fields])
+    if "n" in head:
+        raise ValueError(f"{path}: a sample of distances ('# meta:' line 1 holds n), "
+                         f"not a point cloud")
+    points = []
+    for lineno, row in rows:
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}:{lineno}: non-finite value in "
+                             f"{','.join(map(str, row))!r}")
+        if points and len(row) != len(points[0]):
+            raise ValueError(f"{path}:{lineno}: ragged row of width {len(row)}, "
+                             f"expected {len(points[0])}")
+        points.append(row)
+    if not points:
         raise ValueError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    return np.asarray(points, dtype=float)

@@ -8,14 +8,12 @@ distances, indexed by pairs ``(i, j)`` with ``i < j`` (0-based in memory,
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .geometry import _centered_points, _write_csv, check_fields, is_int, is_number
+from .geometry import _centered_points, _read_csv, _write_csv, check_fields, is_int, is_number
 
 
 def rng_from_seed(seed):
@@ -190,33 +188,25 @@ class SampledDistances:
     @classmethod
     def load(cls, path):
         """Read a file of :meth:`save`; a fault is a ``ValueError`` naming ``path``."""
-        ii, jj, vals = [], [], []
-        with open(path, newline="") as fh:
-            first = fh.readline()
-            text = first.removeprefix("# meta:")
-            try:
-                head = json.loads(text) if text != first else {}
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:1: {exc}") from exc
-            n = head.get("n") if isinstance(head, dict) else None
-            if not is_int(n):
-                raise ValueError(f"{path}: '# meta:' line 1 needs an integer n, not {n!r}")
-            for lineno, row in enumerate(csv.reader(fh), start=2):
-                if not row or row[0].lstrip().startswith("#") or row[0] == "i":
-                    continue
-                try:
-                    i, j, d = int(row[0]) - 1, int(row[1]) - 1, float(row[2])
-                except (IndexError, ValueError):
-                    raise ValueError(f"{path}:{lineno}: expected integer indices i, j and "
-                                     f"a distance d, got {','.join(row)!r}") from None
-                ii.append(i)
-                jj.append(j)
-                vals.append(d)
+        head, rows = _read_csv(path, _pair_row)
+        n = head.get("n")
+        if not is_int(n):
+            raise ValueError(f"{path}: '# meta:' line 1 needs an integer n, not {n!r}")
+        table = np.fromiter((row for _, row in rows),
+                            dtype=[("i", np.int64), ("j", np.int64), ("d", float)])
         try:
-            pairs = PairSet(n, np.asarray(ii), np.asarray(jj))
-            return cls(pairs, np.asarray(vals), p=head.get("p"), seed=head.get("seed"))
+            pairs = PairSet(n, table["i"], table["j"])
+            return cls(pairs, table["d"].copy(), p=head.get("p"), seed=head.get("seed"))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+
+
+def _pair_row(fields):
+    try:
+        return int(fields[0]) - 1, int(fields[1]) - 1, float(fields[2])
+    except (IndexError, ValueError):
+        raise ValueError(f"expected integer indices i, j and a distance d, "
+                         f"got {','.join(fields)!r}") from None
 
 
 def observe(x_true, pairs: PairSet, p=None, seed=None):

@@ -69,6 +69,8 @@ class Problem:
     rank: int
 
     def __post_init__(self):
+        check_fields(self, lambda v: isinstance(v, SampledDistances), "a SampledDistances",
+                     "data")
         check_fields(self, is_int, "an integer", "rank")
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
@@ -257,8 +259,6 @@ def step_size(tangent_g: TangentVector, pairs: PairSet, dU):
 def _truth_error_fn(truth, n):
     if truth is None:
         return lambda fg: None
-    if not isinstance(truth, FactoredGram):
-        raise TypeError(f"the truth must be a FactoredGram, not {type(truth).__name__}")
     if truth.n != n:
         raise ValueError(f"the truth has n={truth.n} points but the sample has n={n}")
     norm = truth.norm_fro()
@@ -270,9 +270,14 @@ def solve(problem: Problem, x0: FactoredGram | None = None,
           truth: FactoredGram | None = None) -> SolveResult:
     """Run the manifold descent from ``x0`` (one-step init when omitted).
     ``truth``, a :class:`FactoredGram`, fills ``rel_truth_error`` and arms the
-    ``diverged`` stop; another type or point count fails before the init, and
-    an ``x0`` of another rank or point count before the loop."""
-    config = config or SolverConfig()
+    ``diverged`` stop.  An ``x0``, ``config`` or ``truth`` of another type is a
+    ``TypeError`` before the init; a truth of another point count fails there
+    too, and an ``x0`` of another rank or point count before the loop."""
+    for name, value, cls in (("x0", x0, FactoredGram), ("config", config, SolverConfig),
+                             ("the truth", truth, FactoredGram)):
+        if value is not None and not isinstance(value, cls):
+            raise TypeError(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
+    config = SolverConfig() if config is None else config
     truth_err = _truth_error_fn(truth, problem.data.n)
     if x0 is None:
         x0 = init_one_step(problem)

@@ -474,6 +474,20 @@ def test_unparsable_json_names_the_file(command, pipeline_dir, capsys):
     assert err["error"].startswith(f"{where}: Expecting property name")
 
 
+@pytest.mark.parametrize("command", ["diagnose", "sample", "generate", "solve"])
+def test_a_sample_given_as_points_names_the_file(command, pipeline_dir, capsys):
+    dist, out = str(pipeline_dir / "dist.csv"), str(pipeline_dir / "out.csv")
+    args = {"diagnose": ["diagnose", "--points", dist, "--out", out],
+            "sample": ["sample", "--points", dist, "--p", "0.5", "--out", out],
+            "generate": ["generate", "--kind", "file", "--points-file", dist, "--out", out],
+            "solve": ["solve", "--data", dist, "--r", "3", "--truth", dist]}[command]
+    capsys.readouterr()
+    assert run_cli(args) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["type"] == "ValueError"
+    assert err["error"].startswith(f"{dist}: a sample of distances")
+
+
 GRID_CONFIG = {
     "dataset": {"kind": "sphere_surface", "n": 40},
     "r_grid": [3],

@@ -8,6 +8,7 @@ from edmc.geometry import (FactoredGram, center_points, factored_gram_from_point
                            write_points_csv)
 from edmc.oracles import (NotEmbeddableError, classical_mds, distances_from_gram,
                           gram_from_distances)
+from edmc.sampling import bernoulli_sample, observe_points
 from edmc.synthdata import DatasetSpec, generate
 
 from conftest import (centered_orthonormal, random_centered_gram,
@@ -308,6 +309,28 @@ class TestPointsCsv:
         path.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(ValueError, match="ragged"):
             read_points_csv(path)
+
+    def test_sample_of_distances_refused_naming_the_path(self, tmp_path):
+        path = tmp_path / "dist.csv"
+        points = generate(DatasetSpec("sphere_surface", n=6, r=3, seed=0))
+        observe_points(points, bernoulli_sample(6, 0.8, 1), p=0.8, seed=1).save(path)
+        with pytest.raises(ValueError, match="sample of distances") as info:
+            read_points_csv(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_second_non_numeric_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("# a comment\nx,y\nu,v\n1.0,2.0\n")
+        with pytest.raises(ValueError, match="'u'") as info:
+            read_points_csv(path)
+        assert str(info.value).startswith(f"{path}:3: ")
+
+    def test_non_finite_first_row_is_not_a_header(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("nan,1.0\n2.0,3.0\n")
+        with pytest.raises(ValueError, match="non-finite") as info:
+            read_points_csv(path)
+        assert str(info.value).startswith(f"{path}:1: ")
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
     def test_non_finite_value_names_file_and_line(self, tmp_path, token):

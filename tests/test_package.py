@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -85,3 +86,17 @@ def test_only_sparse_work_loads_scipy(footprint):
                                      "sample, observe, incoherence": [False] * 3,
                                      "solve": [True, True, False],
                                      "workers=1 grid": [True, True, False]}
+
+
+def test_only_geometry_imports_csv():
+    # the CSV format lives behind geometry's one reader and one writer
+    def imports(path):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                yield node.module
+
+    package = Path(edmc.__file__).parent
+    assert sorted(path.name for path in package.glob("*.py")
+                  if "csv" in set(imports(path))) == ["geometry.py"]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edmc import sampling
-from edmc.geometry import center_points, gram_from_points
+from edmc.geometry import center_points, gram_from_points, write_points_csv
 from edmc.oracles import distances_from_gram
 from edmc.sampling import (BLOCK_ELEMS, SAMPLE_BLOCK, PairSet,
                            SampledDistances, bernoulli_sample, degrees_of_freedom,
@@ -369,6 +369,14 @@ class TestSampledDistancesIO:
     def test_meta_line_without_integer_n_names_the_file(self, tmp_path, first):
         path = tmp_path / "d.csv"
         path.write_text(f"{first}\ni,j,d\n1,2,4.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: '# meta:' line 1 needs "
+                                                       f"an integer n")):
+            SampledDistances.load(path)
+
+    @pytest.mark.parametrize("meta", [None, {"seed": 3}])
+    def test_a_point_cloud_file_names_n(self, tmp_path, meta):
+        path = tmp_path / "points.csv"
+        write_points_csv(path, generate(DatasetSpec("sphere_surface", n=5, r=3, seed=0)), meta)
         with pytest.raises(ValueError, match=re.escape(f"{path}: '# meta:' line 1 needs "
                                                        f"an integer n")):
             SampledDistances.load(path)

@@ -51,6 +51,10 @@ class TestProblem:
         prob, _, _ = make_problem(10, 2, 1.0, seed=0)
         assert Problem(prob.data, rank=np.int64(2)).rank == 2
 
+    def test_data_that_is_not_a_sample_names_data(self):
+        with pytest.raises(ValueError, match=r"data must be a SampledDistances, not \[1, 2\]"):
+            Problem([1, 2], rank=3)
+
 
 class TestSolverConfig:
     @pytest.mark.parametrize("tol", [0.0, -1e-5, float("nan"), float("inf")])
@@ -232,7 +236,7 @@ class TestSolve:
     @staticmethod
     def _no_init(monkeypatch):
         def no_init(problem):
-            raise AssertionError("the init ran before the truth was checked")
+            raise AssertionError("the init ran before the inputs were checked")
 
         monkeypatch.setattr(solver_module, "init_one_step", no_init)
 
@@ -248,6 +252,17 @@ class TestSolve:
         self._no_init(monkeypatch)
         with pytest.raises(TypeError, match="FactoredGram, not ndarray"):
             solve(prob, truth=truth.matrix())
+
+    @pytest.mark.parametrize("make_kwargs,message", [
+        (lambda truth: {"x0": truth.matrix()}, "x0 must be a FactoredGram, not ndarray"),
+        (lambda truth: {"config": {"max_iters": 3}}, "config must be a SolverConfig, not dict"),
+        (lambda truth: {"config": {}}, "config must be a SolverConfig, not dict"),
+    ], ids=["dense-x0", "dict-config", "empty-dict-config"])
+    def test_wrong_input_type_rejected_before_init(self, monkeypatch, make_kwargs, message):
+        prob, truth, _ = make_problem(30, 3, 0.5, seed=13)
+        self._no_init(monkeypatch)
+        with pytest.raises(TypeError, match=message):
+            solve(prob, **make_kwargs(truth))
 
     def test_iterates_stay_centered(self):
         prob, truth, _ = make_problem(60, 3, 0.5, seed=9)
